@@ -64,17 +64,23 @@ struct RunPlan {
   std::uint64_t seed = 0;       // else: standard_adversaries(g, seed)
   BatchOptions batch;
   const ExhaustiveRunOptions* exhaustive = nullptr;  // set: sweep every schedule
-  const SymbolicRunOptions* symbolic = nullptr;  // set: BDD sweep, no schedules
+  bool symbolic = false;                         // set: BDD sweep, no schedules
   const ShardRunRequest* shard_run = nullptr;    // set: run one shard
   const ShardPlanRequest* shard_plan = nullptr;  // set: emit the plan only
 };
 
-void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
-                  const std::string& adversary, const ExecutionResult& r) {
+/// The lines that open every report: protocol, graph and adversary.
+void write_header(std::ostringstream& os, const Graph& g, const Protocol& p,
+                  const std::string& adversary) {
   os << "protocol   " << p.name() << " (" << model_name(p.model_class())
      << "[" << p.message_bit_limit(g.node_count()) << " bits])\n";
   os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
   os << "adversary  " << adversary << "\n";
+}
+
+void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
+                  const std::string& adversary, const ExecutionResult& r) {
+  write_header(os, g, p, adversary);
   os << "status     " << status_name(r.status);
   if (!r.error.empty()) os << " — " << r.error;
   os << "\n";
@@ -89,6 +95,45 @@ void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
      << budget_utilization(board, g.node_count(),
                            p.message_bit_limit(g.node_count()))
      << "\n";
+}
+
+/// The counts every sweep backend answers, whatever totals type it returns.
+struct SweepTotals {
+  std::uint64_t executions = 0;
+  std::uint64_t engine_failures = 0;
+  std::uint64_t wrong_outputs = 0;
+  std::uint64_t distinct = 0;
+};
+
+/// The report of a sweep: the header, then the `schedules`/`verdict` lines
+/// CI diffs across backends. `detail` follows the adversary name on its
+/// line. A statistical sweep passes its `sampled` verdict tally, which
+/// replaces the exhaustive lines (executions are then sampled trials).
+RunReport sweep_report(const Graph& g, const Protocol& p,
+                       std::string adversary, const std::string& detail,
+                       const SweepTotals& t, const DistinctConfig& distinct,
+                       const VerdictAccumulator* sampled = nullptr) {
+  RunReport report;
+  report.executed = true;
+  report.adversary = std::move(adversary);
+  report.executions = t.executions;
+  report.engine_failures = t.engine_failures;
+  report.wrong_outputs = t.wrong_outputs;
+  report.correct = t.engine_failures + t.wrong_outputs == 0;
+  report.status = t.engine_failures == 0 ? "success" : "mixed";
+  std::ostringstream os;
+  write_header(os, g, p, report.adversary + detail);
+  if (sampled != nullptr) {
+    report.statistical = true;
+    report.verdict_trials = sampled->trials();
+    report.verdict_failures = sampled->failures();
+    os << statistical_summary_lines(*sampled);
+  } else {
+    os << exhaustive_summary_lines(t.executions, t.engine_failures,
+                                   t.wrong_outputs, t.distinct, distinct);
+  }
+  report.summary = os.str();
+  return report;
 }
 
 /// Running minimum over failing schedules: the counterexample a
@@ -160,14 +205,7 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
                                              const ExhaustiveRunOptions& ropts,
                                              const Check& check) {
   const FaultClassifier classify = make_fault_classifier(protocol, g, check);
-  RunReport report;
-  report.executed = true;
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-
+  const std::string faults = ", faults=" + fault_spec_to_string(ropts.faults);
   const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
   if (adaptive || ropts.statistical_trials > 0) {
     StatisticalOptions sopts;
@@ -176,100 +214,53 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
     sopts.threads = ropts.threads;
     const StatisticalTotals totals =
         run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
-    report.statistical = true;
-    report.executions = totals.verdict.trials();
-    report.engine_failures = totals.engine_failures;
-    report.wrong_outputs = totals.wrong_outputs;
-    report.verdict_trials = totals.verdict.trials();
-    report.verdict_failures = totals.verdict.failures();
-    report.adversary = std::string(adaptive ? "adaptive" : "statistical") +
-                       "(threads=" + std::to_string(ropts.threads) +
-                       ", faults=" + fault_spec_to_string(ropts.faults) + ")";
-    report.correct = totals.verdict.failures() == 0;
-    report.status = report.correct ? "success" : "mixed";
-    os << "adversary  " << report.adversary << "\n";
-    os << "schedules  " << totals.verdict.trials()
-       << " sampled trials (statistical sweep)\n";
-    os << "verdict    " << verdict_summary(totals.verdict) << "\n";
-  } else {
-    ExhaustiveOptions opts;
-    opts.threads = ropts.threads;
-    opts.max_executions = ropts.max_executions;
-    opts.distinct = ropts.distinct;
-    const FaultSweepTotals totals =
-        sweep_faulty_executions(g, protocol, ropts.faults, classify, opts);
-    report.executions = totals.executions;
-    report.engine_failures = totals.engine_failures;
-    report.wrong_outputs = totals.wrong_outputs;
-    report.fault_worlds = totals.worlds;
-    report.adversary = "exhaustive(threads=" + std::to_string(ropts.threads) +
-                       ", faults=" + fault_spec_to_string(ropts.faults) + ")";
-    const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-    report.correct = failures == 0;
-    report.status = totals.engine_failures == 0 ? "success" : "mixed";
-    os << "adversary  " << report.adversary << " — " << totals.worlds
-       << " fault worlds\n";
-    const std::uint64_t distinct =
-        totals.distinct != nullptr ? totals.distinct->estimate() : 0;
-    os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                   totals.wrong_outputs, distinct,
-                                   ropts.distinct);
+    return {sweep_report(
+        g, protocol,
+        std::string(adaptive ? "adaptive" : "statistical") +
+            "(threads=" + std::to_string(ropts.threads) + faults + ")",
+        "",
+        {totals.verdict.trials(), totals.engine_failures, totals.wrong_outputs,
+         0},
+        ropts.distinct, &totals.verdict)};
   }
-  report.summary = os.str();
+  ExhaustiveOptions opts;
+  opts.threads = ropts.threads;
+  opts.max_executions = ropts.max_executions;
+  opts.distinct = ropts.distinct;
+  const FaultSweepTotals totals =
+      sweep_faulty_executions(g, protocol, ropts.faults, classify, opts);
+  RunReport report = sweep_report(
+      g, protocol,
+      "exhaustive(threads=" + std::to_string(ropts.threads) + faults + ")",
+      " — " + std::to_string(totals.worlds) + " fault worlds",
+      {totals.executions, totals.engine_failures, totals.wrong_outputs,
+       totals.distinct != nullptr ? totals.distinct->estimate() : 0},
+      ropts.distinct);
+  report.fault_worlds = totals.worlds;
   return {std::move(report)};
 }
 
 /// Symbolic plan (src/sym/reach.h): the serial enumerator's exact
 /// schedules/distinct/verdict accounting from a BDD fixpoint, enumerating
-/// zero schedules. The per-protocol check is wrapped into the judge the
-/// frontier engine calls once per distinct final state; the circuit engine
-/// carries its own decoded-incorrect set and never calls it — equivalence
-/// of the two is pinned by tests/sym/sym_equiv_test.cpp.
-template <typename P, typename Check>
-std::vector<RunReport> run_symbolic(const P& protocol, const Graph& g,
-                                    const SymbolicRunOptions& ropts,
-                                    const Check& check) {
-  sym::SymbolicOptions opts;
-  opts.order = ropts.order;
-  opts.engine = ropts.engine;
-  const auto judge = [&](const ExecutionResult& r) {
-    thread_local std::ostringstream sink;
-    sink.seekp(0);
-    return check(protocol.output(r.board, g.node_count()), sink);
-  };
-  const sym::SymbolicTotals totals =
-      sym::symbolic_sweep(g, protocol, judge, opts);
-
-  RunReport report;
-  report.executed = true;
-  report.adversary = "symbolic(order=" + sym::to_string(ropts.order) +
-                     ", engine=" + sym::to_string(totals.engine) + ")";
-  report.executions = totals.executions;
-  report.engine_failures = totals.engine_failures;
-  report.wrong_outputs = totals.wrong_outputs;
-  const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-  report.correct = failures == 0;
-  report.status = totals.engine_failures == 0 ? "success" : "mixed";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << " — " << totals.vars << " vars, "
-     << totals.layers << " layers, 0 schedules enumerated\n";
+/// zero schedules. The circuit model carries its own decoded-incorrect set,
+/// so the runner's check is never called; tests/sym/sym_equiv_test.cpp pins
+/// the two to the same answers.
+std::vector<RunReport> run_symbolic(const Protocol& protocol, const Graph& g) {
+  const sym::SymbolicTotals totals = sym::symbolic_sweep(g, protocol);
   // DistinctConfig{} (exact): the symbolic distinct count is exact by
   // construction, and the default config keeps these lines byte-identical
   // to the `exhaustive:1` oracle's — what the CI smoke diffs.
-  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                 totals.wrong_outputs, totals.distinct,
-                                 DistinctConfig{});
-  os << "bdd        " << totals.bdd.nodes << " nodes, " << totals.bdd.cache_hits
-     << "/" << totals.bdd.cache_lookups << " cache hits";
-  if (totals.engine == sym::SymEngine::kFrontier) {
-    os << ", " << totals.states << " frontier states";
-  }
-  os << "\n";
-  report.summary = os.str();
+  RunReport report = sweep_report(
+      g, protocol, "symbolic",
+      " — " + std::to_string(totals.vars) + " vars, " +
+          std::to_string(totals.layers) + " layers, 0 schedules enumerated",
+      {totals.executions, totals.engine_failures, totals.wrong_outputs,
+       totals.distinct},
+      DistinctConfig{});
+  report.summary += "bdd        " + std::to_string(totals.bdd.nodes) +
+                    " nodes, " + std::to_string(totals.bdd.cache_hits) + "/" +
+                    std::to_string(totals.bdd.cache_lookups) +
+                    " cache hits\n";
   return {std::move(report)};
 }
 
@@ -303,28 +294,14 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
       },
       opts);
 
-  RunReport report;
-  report.executed = true;
-  report.adversary = "exhaustive(threads=1, memoize)";
-  report.executions = totals.executions;
-  report.engine_failures = totals.engine_failures;
-  report.wrong_outputs = totals.wrong_outputs;
-  const std::uint64_t failures = totals.engine_failures + totals.wrong_outputs;
-  report.correct = failures == 0;
-  report.status = totals.engine_failures == 0 ? "success" : "mixed";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << " — " << totals.states_explored
-     << " states, " << totals.memo_hits << " memo hits, "
-     << totals.terminals_visited << " terminals visited\n";
-  os << exhaustive_summary_lines(totals.executions, totals.engine_failures,
-                                 totals.wrong_outputs, totals.distinct,
-                                 ropts.distinct);
-  report.summary = os.str();
-  return {std::move(report)};
+  return {sweep_report(
+      g, protocol, "exhaustive(threads=1, memoize)",
+      " — " + std::to_string(totals.states_explored) + " states, " +
+          std::to_string(totals.memo_hits) + " memo hits, " +
+          std::to_string(totals.terminals_visited) + " terminals visited",
+      {totals.executions, totals.engine_failures, totals.wrong_outputs,
+       totals.distinct},
+      ropts.distinct)};
 }
 
 /// Exhaustive plan: one report aggregating every adversary schedule, from a
@@ -403,26 +380,12 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     distinct = total->estimate();
   }
 
-  RunReport report;
-  report.executed = true;
-  report.adversary =
-      "exhaustive(threads=" + std::to_string(opts.threads) + ")";
-  report.executions = executions;
-  report.engine_failures = engine_failures.load();
-  report.wrong_outputs = wrong_outputs.load();
-  const std::uint64_t failures = engine_failures.load() + wrong_outputs.load();
-  report.correct = failures == 0;
-  report.status = engine_failures.load() == 0 ? "success" : "mixed";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(g.node_count()) << " bits])\n";
-  os << "graph      n=" << g.node_count() << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << "\n";
-  os << exhaustive_summary_lines(executions, engine_failures.load(),
-                                 wrong_outputs.load(), distinct,
-                                 ropts.distinct);
+  RunReport report = sweep_report(
+      g, protocol, "exhaustive(threads=" + std::to_string(opts.threads) + ")",
+      "", {executions, engine_failures.load(), wrong_outputs.load(), distinct},
+      ropts.distinct);
   if (ropts.counterexample) {
+    std::ostringstream os;
     if (cx.found) {
       report.counterexample = cx.order_text();
       os << "counterexample " << report.counterexample << " (" << cx.status
@@ -434,65 +397,21 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     } else {
       os << "counterexample none\n";
     }
+    report.summary += os.str();
   }
-  report.summary = os.str();
   return {std::move(report)};
 }
 
 /// Sharded plan, run phase: sweep exactly the spec's subtree prefixes with
 /// the same validation callback the exhaustive runner uses, depositing the
-/// ShardResult through the request's out-pointer.
+/// ShardResult through the request's out-pointer. The shard's report is its
+/// ShardResult document, so no RunReport is produced.
 template <typename P, typename Check>
-std::vector<RunReport> run_shard_typed(const P& protocol, const Graph& g,
-                                       const ShardRunRequest& req,
-                                       const Check& check) {
-  const std::size_t n = g.node_count();
+void run_shard_typed(const P& protocol, const Graph& g,
+                     const ShardRunRequest& req, const Check& check) {
   *req.out = shard::run_shard(*req.spec, protocol,
                               make_fault_classifier(protocol, g, check),
                               req.threads);
-  const shard::ShardResult& result = *req.out;
-
-  RunReport report;
-  report.executed = true;
-  report.adversary = "shard(" + std::to_string(result.shard_index) + "/" +
-                     std::to_string(result.shard_count) + ")";
-  report.correct = !result.budget_exceeded && result.engine_failures == 0 &&
-                   result.wrong_outputs == 0;
-  report.status = result.budget_exceeded ? "budget-exceeded" : "success";
-  std::ostringstream os;
-  os << "protocol   " << protocol.name() << " ("
-     << model_name(protocol.model_class()) << "["
-     << protocol.message_bit_limit(n) << " bits])\n";
-  os << "graph      n=" << n << " m=" << g.edge_count() << "\n";
-  os << "adversary  " << report.adversary << " — ";
-  if (result.faults.kind == FaultKind::kAdaptive) {
-    os << "statistical stride " << result.shard_index << "/"
-       << result.shard_count << " of " << result.faults.trials << " trials\n";
-  } else if (result.faults.kind != FaultKind::kNone) {
-    os << req.spec->fault_tasks.size() << " fault subtree prefixes\n";
-  } else {
-    os << req.spec->prefixes.size() << " subtree prefixes\n";
-  }
-  if (result.budget_exceeded) {
-    os << "schedules  budget of " << result.max_executions
-       << " executions exceeded by this shard alone\n";
-  } else if (result.faults.kind == FaultKind::kAdaptive) {
-    os << "schedules  " << result.executions
-       << " sampled trials (statistical sweep)\n";
-    const VerdictAccumulator verdict(result.verdict_trials,
-                                     result.verdict_failures);
-    os << "verdict    " << verdict_summary(verdict) << "\n";
-  } else {
-    const std::uint64_t distinct =
-        result.distinct.kind == DistinctKind::kExact
-            ? result.board_hashes.size()
-            : (result.hll.has_value() ? result.hll->estimate() : 0);
-    os << exhaustive_summary_lines(result.executions, result.engine_failures,
-                                   result.wrong_outputs, distinct,
-                                   result.distinct);
-  }
-  report.summary = os.str();
-  return {std::move(report)};
 }
 
 /// Run a typed protocol under every strategy of `plan` (all execution goes
@@ -508,14 +427,13 @@ std::vector<RunReport> run_typed(const P& protocol, const Graph& g,
     return {};
   }
   if (plan.shard_run != nullptr) {
-    return run_shard_typed(protocol, g, *plan.shard_run, check);
+    run_shard_typed(protocol, g, *plan.shard_run, check);
+    return {};
   }
   if (plan.exhaustive != nullptr) {
     return run_exhaustive(protocol, g, *plan.exhaustive, check);
   }
-  if (plan.symbolic != nullptr) {
-    return run_symbolic(protocol, g, *plan.symbolic, check);
-  }
+  if (plan.symbolic) return run_symbolic(protocol, g);
   std::vector<BatteryRun> runs;
   if (plan.single != nullptr) {
     Trial t;
@@ -849,10 +767,10 @@ RunReport run_protocol_spec_exhaustive(const std::string& spec, const Graph& g,
   return run_protocol_spec_exhaustive(spec, g, opts);
 }
 
-RunReport run_protocol_spec_symbolic(const std::string& spec, const Graph& g,
-                                     const SymbolicRunOptions& opts) {
+RunReport run_protocol_spec_symbolic(const std::string& spec,
+                                     const Graph& g) {
   RunPlan plan;
-  plan.symbolic = &opts;
+  plan.symbolic = true;
   return std::move(dispatch_spec(spec, g, plan).front());
 }
 
@@ -901,6 +819,12 @@ std::string exhaustive_summary_lines(std::uint64_t executions,
   os << "verdict    " << (executions - failures) << "/" << executions
      << " executions successful and correct\n";
   return os.str();
+}
+
+std::string statistical_summary_lines(const VerdictAccumulator& verdict) {
+  return "schedules  " + std::to_string(verdict.trials()) +
+         " sampled trials (statistical sweep)\nverdict    " +
+         verdict_summary(verdict) + "\n";
 }
 
 std::string protocol_spec_help() {

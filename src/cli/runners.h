@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/sym/encode.h"
 #include "src/wb/adversary.h"
 #include "src/wb/batch.h"
+#include "src/wb/faults.h"
 #include "src/wb/shard.h"
 
 namespace wb::cli {
@@ -104,19 +104,13 @@ struct ExhaustiveRunOptions {
     const std::string& protocol_spec, const Graph& g, std::size_t threads = 0,
     std::uint64_t max_executions = 2'000'000);
 
-struct SymbolicRunOptions {
-  sym::VarOrder order = sym::VarOrder::kInterleave;
-  sym::SymEngine engine = sym::SymEngine::kAuto;
-};
-
 /// Validate `protocol_spec` on `g` with the symbolic (BDD) backend
 /// (src/sym/reach.h): the same exact schedules/distinct/verdict accounting
 /// as run_protocol_spec_exhaustive with threads=1, computed without
-/// enumerating any schedule. Throws wb::sym::SymUnsupportedError for model
-/// classes and options the backend refuses (CLI exit 2).
+/// enumerating any schedule. Throws wb::sym::SymUnsupportedError for the
+/// protocols the backend refuses (CLI exit 2).
 [[nodiscard]] RunReport run_protocol_spec_symbolic(
-    const std::string& protocol_spec, const Graph& g,
-    const SymbolicRunOptions& opts = {});
+    const std::string& protocol_spec, const Graph& g);
 
 /// Plan a sharded exhaustive sweep: construct the protocol named by
 /// `protocol_spec`, partition its schedule tree on `g`, and distribute the
@@ -144,6 +138,11 @@ struct SymbolicRunOptions {
     std::uint64_t executions, std::uint64_t engine_failures,
     std::uint64_t wrong_outputs, std::uint64_t distinct_boards,
     const DistinctConfig& distinct = {});
+
+/// The "schedules ... sampled trials / verdict ..." lines of a statistical
+/// sweep, shared the same way by the in-process and the merged report.
+[[nodiscard]] std::string statistical_summary_lines(
+    const VerdictAccumulator& verdict);
 
 /// List of known protocol specs for --help.
 [[nodiscard]] std::string protocol_spec_help();

@@ -118,33 +118,21 @@ struct SweepSpec {
 /// appear in the grammar order. parse ∘ format is the identity.
 [[nodiscard]] std::string format_sweep_spec(const SweepSpec& spec);
 
-/// The grammar for the symbolic (BDD) sweep backend (src/sym/reach.h):
+/// The symbolic (BDD) sweep backend (src/sym/reach.h) takes no options:
 ///
-///   symbolic[:order=interleave|grouped][:engine=auto|circuit|frontier]
-///
-///   symbolic                   auto engine, interleaved variable order
-///   symbolic:order=grouped     order fields first, then message fields
-///   symbolic:engine=frontier   force the explicit-frontier engine
+///   symbolic
 ///
 /// The backend answers exactly what the serial enumerator answers
 /// (schedules / distinct / verdict) — so the enumerator-only options are
 /// refused with a typed wb::sym::SymUnsupportedError (CLI exit 2):
 /// thread counts, shards=, budget= (nothing is enumerated, no budget to
 /// exceed), faults=, and distinct= (the count is exact by construction).
-/// Unknown tokens are plain DataErrors, as everywhere in the grammar.
-struct SymbolicSpec {
-  sym::VarOrder order = sym::VarOrder::kInterleave;
-  sym::SymEngine engine = sym::SymEngine::kAuto;
-
-  friend bool operator==(const SymbolicSpec&, const SymbolicSpec&) = default;
-};
-
+/// Any other token is a plain DataError, as everywhere in the grammar.
 [[nodiscard]] bool is_symbolic_spec(const std::string& spec);
-/// Parse a `symbolic...` spec. Throws SymUnsupportedError for enumerator
-/// options the backend refuses, wb::DataError on malformed input.
-[[nodiscard]] SymbolicSpec symbolic_from_spec(const std::string& spec);
-/// Canonical text; defaulted fields are omitted. parse ∘ format = identity.
-[[nodiscard]] std::string format_symbolic_spec(const SymbolicSpec& spec);
+/// Validate a `symbolic...` spec: returns iff it is exactly `symbolic`.
+/// Throws SymUnsupportedError for enumerator options the backend refuses,
+/// wb::DataError on any other token.
+void check_symbolic_spec(const std::string& spec);
 
 /// Human-readable lists for --help.
 [[nodiscard]] std::string graph_spec_help();

@@ -6,8 +6,8 @@
 // semantic equality is pointer equality (`a == b` on BddRef). Variables are
 // identified by their *order rank*: variable 0 is the topmost decision in
 // every BDD. The symbolic engine maps engine state bits to ranks through a
-// BoardLayout (src/sym/encode.h), so "reordering" is a relabelling choice
-// made before any node is built.
+// BoardLayout (src/sym/encode.h), which fixes the order before any node is
+// built.
 //
 // Operations: ITE with a computed cache (AND/OR/XOR/NOT/IFF are ITE
 // spellings and share it), existential quantification over a variable set,

@@ -1,41 +1,27 @@
 #include "src/sym/reach.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/protocols/codec.h"
-#include "src/support/hash.h"
 #include "src/wb/model.h"
 
 namespace wb::sym {
 
 namespace {
 
-[[nodiscard]] std::uint64_t add_checked(std::uint64_t a, std::uint64_t b) {
-  WB_REQUIRE_MSG(a <= ~std::uint64_t{0} - b, "execution count overflow");
-  return a + b;
-}
-
-struct Hash128Hasher {
-  std::size_t operator()(const Hash128& h) const noexcept {
-    return static_cast<std::size_t>(h.lo ^ h.hi);
-  }
-};
-
 /// The circuit engine: layered image fixpoint (see reach.h).
-[[nodiscard]] SymbolicTotals run_circuit(const Graph& g, const Protocol& p,
+[[nodiscard]] SymbolicTotals run_circuit(const Protocol& p,
                                          const CircuitModel& model,
-                                         const SymbolicOptions& opts) {
-  const std::size_t n = g.node_count();
+                                         const BoardLayout& layout) {
+  const std::size_t n = layout.n();
+  const std::size_t idb = layout.id_bits();
   WB_CHECK_MSG(is_simultaneous(p.model_class()),
                "circuit models require a simultaneous class");
   WB_CHECK_MSG(model.message_bits() == p.message_bit_limit(n),
                "circuit message width disagrees with message_bit_limit");
-  const std::size_t idb = static_cast<std::size_t>(codec::id_bits(n));
-  const BoardLayout layout(n, idb, model.message_bits(), opts.order);
   BddManager m(layout.var_count());
 
   // F_0: the empty board — every variable zero.
@@ -79,7 +65,6 @@ struct Hash128Hasher {
   }
 
   SymbolicTotals totals;
-  totals.engine = SymEngine::kCircuit;
   totals.vars = layout.var_count();
   totals.layers = n;
   const std::vector<std::uint32_t> full = layout.full_universe();
@@ -94,105 +79,9 @@ struct Hash128Hasher {
   return totals;
 }
 
-/// The explicit-frontier engine: distinct engine states with order-history
-/// BDDs (see reach.h).
-[[nodiscard]] SymbolicTotals run_frontier(
-    const Graph& g, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& judge) {
-  const std::size_t n = g.node_count();
-  const std::size_t idb = static_cast<std::size_t>(codec::id_bits(n));
-  BddManager m(n * idb);
-
-  SymbolicTotals totals;
-  totals.engine = SymEngine::kFrontier;
-  totals.vars = n * idb;
-
-  const auto order_cube = [&](std::size_t slot, NodeId v) -> BddRef {
-    std::vector<BddLiteral> lits;
-    lits.reserve(idb);
-    for (std::size_t b = 0; b < idb; ++b) {
-      lits.push_back({static_cast<std::uint32_t>(slot * idb + b),
-                      (((v - 1) >> b) & 1u) != 0});
-    }
-    return m.cube(lits);
-  };
-
-  std::unordered_set<Hash128, Hash128Hasher> distinct_boards;
-  ExecutionResult scratch;
-  // universe of schedules with k writes: the order fields of slots 0..k-1.
-  std::vector<std::uint32_t> universe;
-  const auto accumulate_terminal = [&](const EngineState& state,
-                                       BddRef orders) {
-    ++totals.states;
-    state.finish_into(scratch);
-    const std::uint64_t count = m.sat_count(orders, universe);
-    totals.executions = add_checked(totals.executions, count);
-    if (!scratch.ok()) {
-      totals.engine_failures = add_checked(totals.engine_failures, count);
-    } else if (!judge(scratch)) {
-      totals.wrong_outputs = add_checked(totals.wrong_outputs, count);
-    }
-    distinct_boards.insert(scratch.board.content_hash());
-  };
-
-  struct Entry {
-    EngineState state;
-    BddRef orders;
-  };
-  std::unordered_map<Hash128, Entry, Hash128Hasher> frontier;
-
-  EngineState root(g, p);
-  root.begin_round();
-  if (root.terminal()) {
-    accumulate_terminal(root, kBddTrue);
-  } else {
-    const Hash128 root_key = root.memo_key();  // before the move below
-    frontier.emplace(root_key, Entry{std::move(root), kBddTrue});
-  }
-
-  for (std::size_t k = 0; !frontier.empty(); ++k) {
-    ++totals.layers;
-    // Terminal states after this generation carry k + 1 writes.
-    for (std::size_t b = 0; b < idb; ++b) {
-      universe.push_back(static_cast<std::uint32_t>(k * idb + b));
-    }
-    std::unordered_map<Hash128, Entry, Hash128Hasher> next;
-    for (auto& [key, entry] : frontier) {
-      ++totals.states;
-      for (const NodeId v : entry.state.candidates()) {
-        EngineState child = entry.state;  // O(n): the board is shared CoW
-        child.write_node(v);
-        child.begin_round();
-        const BddRef orders = m.bdd_and(entry.orders, order_cube(k, v));
-        if (child.terminal()) {
-          accumulate_terminal(child, orders);
-          continue;
-        }
-        const Hash128 child_key = child.memo_key();
-        const auto it = next.find(child_key);
-        if (it == next.end()) {
-          next.emplace(child_key, Entry{std::move(child), orders});
-        } else {
-          // Converging schedules: same board + written set means the same
-          // engine state in the synchronous classes — merge the histories.
-          it->second.orders = m.bdd_or(it->second.orders, orders);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  totals.distinct = distinct_boards.size();
-  totals.bdd = m.stats();
-  return totals;
-}
-
 }  // namespace
 
-SymbolicTotals symbolic_sweep(
-    const Graph& g, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& judge,
-    const SymbolicOptions& opts) {
+SymbolicTotals symbolic_sweep(const Graph& g, const Protocol& p) {
   const std::size_t n = g.node_count();
   WB_REQUIRE_MSG(n >= 1, "symbolic sweep needs a non-empty graph");
   if (is_asynchronous(p.model_class())) {
@@ -201,38 +90,20 @@ SymbolicTotals symbolic_sweep(
         " — messages frozen at activation have no per-round transition "
         "relation; only the synchronous classes (SIMSYNC/SYNC) are answered");
   }
-  const std::size_t idb = static_cast<std::size_t>(codec::id_bits(n));
-
-  std::unique_ptr<CircuitModel> model;
-  if (opts.engine != SymEngine::kFrontier) {
-    model = make_circuit_model(p, g);
-  }
-  if (opts.engine == SymEngine::kCircuit && model == nullptr) {
+  const std::unique_ptr<CircuitModel> model = make_circuit_model(p, g);
+  if (model == nullptr) {
     throw SymUnsupportedError("no symbolic circuit for protocol '" + p.name() +
-                              "' — run engine=frontier (or auto)");
+                              "' — run exhaustive:1:memoize[:budget=N]");
   }
-
-  const auto require_vars = [&](std::size_t vars, const char* engine) {
-    if (vars > opts.max_vars) {
-      throw SymUnsupportedError(
-          "the " + std::string(engine) + " encoding needs " +
-          std::to_string(vars) + " boolean variables (cap " +
-          std::to_string(opts.max_vars) +
-          ") — width or node count is not statically bounded enough");
-    }
-  };
-
-  if (model != nullptr) {
-    const std::size_t circuit_vars =
-        n * (idb + model->message_bits()) + n;
-    if (opts.engine == SymEngine::kCircuit || circuit_vars <= opts.max_vars) {
-      require_vars(circuit_vars, "circuit");
-      return run_circuit(g, p, *model, opts);
-    }
-    // kAuto with an oversized circuit: fall through to the frontier engine.
+  const BoardLayout layout(n, static_cast<std::size_t>(codec::id_bits(n)),
+                           model->message_bits());
+  if (layout.var_count() > kMaxSymbolicVars) {
+    throw SymUnsupportedError(
+        "the circuit encoding needs " + std::to_string(layout.var_count()) +
+        " boolean variables (cap " + std::to_string(kMaxSymbolicVars) +
+        ") — width or node count is not statically bounded enough");
   }
-  require_vars(n * idb, "frontier");
-  return run_frontier(g, p, judge);
+  return run_circuit(p, *model, layout);
 }
 
 }  // namespace wb::sym

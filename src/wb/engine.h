@@ -151,7 +151,7 @@ class EngineState {
   /// recomposed from the current board (synchronous), and the round counter
   /// tracks the write count — so two non-terminal states with equal keys
   /// behave identically under every future schedule. Used by the memoizing
-  /// exhaustive sweep and the symbolic frontier engine.
+  /// exhaustive sweep.
   [[nodiscard]] Hash128 memo_key() const;
 
   // --- Backtracking API (the exhaustive explorer) ---

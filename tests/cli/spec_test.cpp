@@ -176,35 +176,30 @@ TEST(SweepSpec, ParsesTheMemoizeOption) {
   EXPECT_THROW((void)sweep_from_spec("exhaustive:memoize:memoize"), DataError);
 }
 
-TEST(SymbolicSpec, ParsesOrderAndEngine) {
+TEST(SymbolicGrammar, TakesNoOptions) {
   EXPECT_TRUE(is_symbolic_spec("symbolic"));
   EXPECT_TRUE(is_symbolic_spec("symbolic:order=grouped"));
   EXPECT_FALSE(is_symbolic_spec("exhaustive"));
   EXPECT_FALSE(is_symbolic_spec("battery"));
 
-  wb::cli::SymbolicSpec spec = symbolic_from_spec("symbolic");
-  EXPECT_EQ(spec.order, sym::VarOrder::kInterleave);
-  EXPECT_EQ(spec.engine, sym::SymEngine::kAuto);
-
-  spec = symbolic_from_spec("symbolic:order=grouped");
-  EXPECT_EQ(spec.order, sym::VarOrder::kGrouped);
-
-  spec = symbolic_from_spec("symbolic:engine=frontier");
-  EXPECT_EQ(spec.engine, sym::SymEngine::kFrontier);
-
-  spec = symbolic_from_spec("symbolic:order=interleave:engine=circuit");
-  EXPECT_EQ(spec.order, sym::VarOrder::kInterleave);
-  EXPECT_EQ(spec.engine, sym::SymEngine::kCircuit);
-
-  EXPECT_THROW((void)symbolic_from_spec("symbolic:order=bogus"), DataError);
-  EXPECT_THROW((void)symbolic_from_spec("symbolic:engine="), DataError);
-  EXPECT_THROW((void)symbolic_from_spec("symbolic:junk"), DataError);
-  EXPECT_THROW((void)symbolic_from_spec("symbolic:order=grouped"
-                                        ":order=interleave"),
-               DataError);
+  EXPECT_NO_THROW(check_symbolic_spec("symbolic"));
+  // Any option is an unknown token: a plain DataError, not the typed
+  // refusal the enumerator options get.
+  for (const char* spec :
+       {"symbolic:order=grouped", "symbolic:order=interleave",
+        "symbolic:engine=frontier", "symbolic:engine=circuit",
+        "symbolic:junk"}) {
+    try {
+      check_symbolic_spec(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const sym::SymUnsupportedError&) {
+      ADD_FAILURE() << "typed refusal for unknown token in " << spec;
+    } catch (const DataError&) {
+    }
+  }
 }
 
-TEST(SymbolicSpec, EnumeratorOptionsAreTypedRefusals) {
+TEST(SymbolicGrammar, EnumeratorOptionsAreTypedRefusals) {
   // The backend enumerates nothing: thread counts, budgets, shards, fault
   // models, and distinct accumulators have no symbolic meaning. Each is a
   // SymUnsupportedError (exit 2), not a generic parse error.
@@ -212,33 +207,12 @@ TEST(SymbolicSpec, EnumeratorOptionsAreTypedRefusals) {
        {"symbolic:1", "symbolic:4", "symbolic:budget=1000",
         "symbolic:shards=2", "symbolic:faults=crash:1",
         "symbolic:distinct=hll:12"}) {
-    EXPECT_THROW((void)symbolic_from_spec(spec), sym::SymUnsupportedError)
+    EXPECT_THROW(check_symbolic_spec(spec), sym::SymUnsupportedError)
         << spec;
   }
   // memoize belongs to the enumerator grammar; here it is just an unknown
   // token, not a capability the backend declines.
-  EXPECT_THROW((void)symbolic_from_spec("symbolic:memoize"), DataError);
-}
-
-TEST(SymbolicSpec, FormatParseRoundTrip) {
-  for (const char* canonical : {
-           "symbolic",
-           "symbolic:order=grouped",
-           "symbolic:engine=circuit",
-           "symbolic:engine=frontier",
-           "symbolic:order=grouped:engine=frontier",
-       }) {
-    EXPECT_EQ(format_symbolic_spec(symbolic_from_spec(canonical)), canonical)
-        << canonical;
-  }
-  for (const wb::cli::SymbolicSpec spec :
-       {wb::cli::SymbolicSpec{},
-        wb::cli::SymbolicSpec{.order = sym::VarOrder::kGrouped},
-        wb::cli::SymbolicSpec{.engine = sym::SymEngine::kCircuit},
-        wb::cli::SymbolicSpec{.order = sym::VarOrder::kGrouped,
-                              .engine = sym::SymEngine::kFrontier}}) {
-    EXPECT_EQ(symbolic_from_spec(format_symbolic_spec(spec)), spec);
-  }
+  EXPECT_THROW(check_symbolic_spec("symbolic:memoize"), DataError);
 }
 
 TEST(SweepSpec, FormatParseRoundTrip) {

@@ -11,8 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/cli/runners.h"
+#include "src/cli/spec.h"
 #include "src/graph/generators.h"
+#include "src/protocols/anon_frontier.h"
 #include "src/protocols/bfs_sync.h"
+#include "tests/cli/report_lines.h"
 #include "tests/wb/test_protocols.h"
 
 namespace wb {
@@ -494,3 +498,135 @@ TEST(ExhaustiveParallel, RetainedBoardSnapshotsSurviveParallelBacktracking) {
 
 }  // namespace
 }  // namespace wb
+
+// ---- the memoized enumerator against the serial oracle ----
+//
+// Driven through the CLI runner so the pins cover the report bytes CI diffs.
+// These share the SymEquiv suite with tests/sym/sym_equiv_test.cpp: both pin
+// an alternative sweep backend to the `exhaustive:1` oracle.
+
+namespace wb::cli {
+namespace {
+
+TEST(SymEquiv, MemoizedSweepIsBitIdenticalToTheOracle) {
+  // anon-degree on a star: all leaves share one degree, so schedules
+  // converge factorially and the memo actually collapses the tree. The
+  // report must not change by a byte.
+  const Graph g = graph_from_spec("star:7");
+  ExhaustiveRunOptions plain;
+  plain.threads = 1;
+  ExhaustiveRunOptions memo = plain;
+  memo.memoize = true;
+  const RunReport oracle = run_protocol_spec_exhaustive("anon-degree", g, plain);
+  const RunReport memoized =
+      run_protocol_spec_exhaustive("anon-degree", g, memo);
+  EXPECT_EQ(memoized.executions, oracle.executions);
+  EXPECT_EQ(memoized.engine_failures, oracle.engine_failures);
+  EXPECT_EQ(memoized.wrong_outputs, oracle.wrong_outputs);
+  EXPECT_EQ(report_lines(memoized), report_lines(oracle));
+  EXPECT_NE(memoized.summary.find("memoize"), std::string::npos)
+      << memoized.summary;
+  EXPECT_NE(memoized.summary.find("memo hits"), std::string::npos)
+      << memoized.summary;
+  EXPECT_EQ(oracle.summary.find("memoize"), std::string::npos)
+      << oracle.summary;
+}
+
+TEST(SymEquiv, MemoizationCollapsesConvergingSchedules) {
+  // Direct sweep_memoized accounting: 7! = 5040 executions but far fewer
+  // distinct states, because the anonymous messages erase write order.
+  const Graph g = graph_from_spec("star:7");
+  const AnonDegreeProtocol p;
+  ExhaustiveOptions opts;
+  opts.memoize = true;
+  const MemoizedTotals t =
+      sweep_memoized(g, p, [](const ExecutionResult&) { return true; }, opts);
+  EXPECT_EQ(t.executions, 5040u);
+  EXPECT_EQ(t.engine_failures, 0u);
+  EXPECT_EQ(t.wrong_outputs, 0u);
+  EXPECT_GT(t.memo_hits, 0u);
+  EXPECT_LT(t.states_explored, t.executions);
+  EXPECT_LT(t.terminals_visited, t.executions);
+}
+
+TEST(SymEquiv, MemoizationIsIdentityOnSignedProtocols) {
+  // two-cliques signs every message with write_id: no two schedules
+  // converge, the memo never hits, and the totals are still identical.
+  const Graph g = graph_from_spec("twocliques:3");
+  ExhaustiveRunOptions plain;
+  plain.threads = 1;
+  ExhaustiveRunOptions memo = plain;
+  memo.memoize = true;
+  const RunReport oracle = run_protocol_spec_exhaustive("two-cliques", g, plain);
+  const RunReport memoized =
+      run_protocol_spec_exhaustive("two-cliques", g, memo);
+  EXPECT_EQ(report_lines(memoized), report_lines(oracle));
+  EXPECT_EQ(memoized.executions, 720u);
+}
+
+TEST(SymEquiv, MemoizedHllDistinctMatchesTheOracle) {
+  const Graph g = graph_from_spec("star:6");
+  ExhaustiveRunOptions plain;
+  plain.threads = 1;
+  plain.distinct = DistinctConfig::Hll(12);
+  ExhaustiveRunOptions memo = plain;
+  memo.memoize = true;
+  const RunReport oracle = run_protocol_spec_exhaustive("anon-degree", g, plain);
+  const RunReport memoized =
+      run_protocol_spec_exhaustive("anon-degree", g, memo);
+  EXPECT_EQ(report_lines(memoized), report_lines(oracle));
+  EXPECT_NE(memoized.summary.find("(hll:12)"), std::string::npos)
+      << memoized.summary;
+}
+
+TEST(SymEquiv, MemoizedBudgetThrowsExactlyWhenTheOracleWould) {
+  const Graph g = graph_from_spec("star:7");  // 5040 schedules
+  ExhaustiveRunOptions memo;
+  memo.threads = 1;
+  memo.memoize = true;
+  memo.max_executions = 100;
+  EXPECT_THROW((void)run_protocol_spec_exhaustive("anon-degree", g, memo),
+               BudgetExceededError);
+  // At exactly the schedule count, both sweeps complete.
+  memo.max_executions = 5040;
+  const RunReport r = run_protocol_spec_exhaustive("anon-degree", g, memo);
+  EXPECT_EQ(r.executions, 5040u);
+}
+
+TEST(SymEquiv, MemoizedReportLinesMatchTheOracleTable) {
+  // Activation-gated SYNC protocols (real activation predicates, deadlocks,
+  // variable-width messages) and a fixture that is wrong on most schedules,
+  // which pins the wrong-output accounting.
+  struct Row {
+    const char* graph;
+    const char* protocol;
+    std::uint64_t wrong_outputs;
+  };
+  const Row rows[] = {
+      {"cgnp:8:1/2:3", "sync-bfs", 0},
+      {"twocliques:3", "spanning-forest", 0},
+      {"path:5", "spanning-forest", 0},
+      // Wrong unless node 2 writes first: 18 of the 4! schedules.
+      {"complete:4", "broken-first:2", 18},
+  };
+  for (const Row& row : rows) {
+    const std::string label = std::string(row.graph) + " " + row.protocol;
+    const Graph g = graph_from_spec(row.graph);
+    ExhaustiveRunOptions plain;
+    plain.threads = 1;
+    ExhaustiveRunOptions memo = plain;
+    memo.memoize = true;
+    const RunReport oracle =
+        run_protocol_spec_exhaustive(row.protocol, g, plain);
+    const RunReport memoized =
+        run_protocol_spec_exhaustive(row.protocol, g, memo);
+    EXPECT_EQ(report_lines(memoized), report_lines(oracle)) << label;
+    EXPECT_EQ(memoized.executions, oracle.executions) << label;
+    EXPECT_EQ(memoized.engine_failures, oracle.engine_failures) << label;
+    EXPECT_EQ(memoized.wrong_outputs, row.wrong_outputs) << label;
+    EXPECT_EQ(oracle.wrong_outputs, row.wrong_outputs) << label;
+  }
+}
+
+}  // namespace
+}  // namespace wb::cli

@@ -13,13 +13,13 @@
 //
 // The pseudo-adversaries `battery[:SEED]` (the standard adversary battery,
 // parallel), `exhaustive...` (every schedule — the paper's correctness
-// quantifier) and `symbolic...` (the same answer from a BDD fixpoint,
+// quantifier) and `symbolic` (the same answer from a BDD fixpoint,
 // enumerating zero schedules — src/sym/reach.h) accept the unified sweep
 // grammar of src/cli/spec.h:
 //
-//   exhaustive[:THREADS][:memoize][:shards=K][:budget=N]
+//   exhaustive[:THREADS][:memoize][:shards=K][:budget=N][:faults=F]
 //            [:distinct=exact|hll[:P]]
-//   symbolic[:order=interleave|grouped][:engine=auto|circuit|frontier]
+//   symbolic
 //
 // `shards=K` runs the sweep as a K-worker *fleet*: the schedule tree is
 // planned into K shard specs, K persistent worker processes are spawned, and
@@ -138,11 +138,10 @@ int print_merged(const wb::shard::MergedResult& merged) {
     // Statistical sweeps merge verdict tallies, not schedule counts — print
     // the same `schedules`/`verdict` lines the in-process statistical report
     // uses so CI can diff a sharded adaptive sweep against the serial one.
-    const wb::VerdictAccumulator verdict(merged.verdict_trials,
-                                         merged.verdict_failures);
-    std::printf("schedules  %llu sampled trials (statistical sweep)\n",
-                static_cast<unsigned long long>(verdict.trials()));
-    std::printf("verdict    %s\n", wb::verdict_summary(verdict).c_str());
+    std::printf("%s", wb::cli::statistical_summary_lines(
+                          wb::VerdictAccumulator(merged.verdict_trials,
+                                                 merged.verdict_failures))
+                          .c_str());
   } else {
     std::printf("%s",
                 wb::cli::exhaustive_summary_lines(
@@ -853,12 +852,8 @@ int cmd_classic(const std::vector<std::string>& all_args) {
     WB_REQUIRE_MSG(!counterexample,
                    "--counterexample needs an exhaustive adversary spec "
                    "(the symbolic backend enumerates no schedules)");
-    const wb::cli::SymbolicSpec symbolic =
-        wb::cli::symbolic_from_spec(adversary_spec);
-    wb::cli::SymbolicRunOptions opts;
-    opts.order = symbolic.order;
-    opts.engine = symbolic.engine;
-    return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g, opts));
+    wb::cli::check_symbolic_spec(adversary_spec);
+    return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g));
   }
   if (wb::cli::is_exhaustive_spec(adversary_spec)) {
     const wb::cli::SweepSpec sweep = wb::cli::sweep_from_spec(adversary_spec);
@@ -898,8 +893,7 @@ wb::cli::CommandRegistry build_registry() {
           wb::cli::adversary_spec_help() +
           "\nsweeps: exhaustive[:THREADS][:memoize][:shards=K][:budget=N]"
           "[:faults=F][:distinct=exact|hll[:P]]"
-          "\n        symbolic[:order=interleave|grouped]"
-          "[:engine=auto|circuit|frontier]"
+          "\n        symbolic"
           "\nfaults: none crash:F corrupt:NUM/DEN[:SEED] "
           "adaptive:SEED[:TRIALS]",
       "wbsim <graph-spec> <protocol-spec> [adversary-spec] "
