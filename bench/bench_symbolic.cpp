@@ -1,26 +1,20 @@
-// Symbolic-exploration microbenchmarks: what the BDD backend buys over
-// enumerating schedules, and what the memoized enumerator buys in between.
+// Memoized-exploration microbenchmarks: what hash-consed state memoization
+// buys over enumerating every schedule.
 //
-//  - BM_SymbolicCircuitTwoCliques/n — the circuit image fixpoint on
-//    two_cliques(n): counts all (2n)! schedules exactly without visiting
-//    one. At n=5 that is 3,628,800 schedules — the sweep the enumerator
-//    takes minutes over at bench budgets — answered in BDD node count;
-//    the `executions` counter doubles as a correctness pin (the run fails
-//    if the count is not (2n)!).
 //  - BM_EnumeratedAnonDegree/n vs BM_MemoizedAnonDegree/n — the same
 //    instance through the serial enumerator with and without hash-consed
 //    state memoization; `states_per_schedule` is the collapse headline.
 //
-// CI merges this harness's JSON into BENCH_pr10.json next to the committed
-// BENCH_pr{2..10}.json trajectory (tools/bench_diff.py renders the table).
+// (The file keeps its historical name: perfbench/README.md maps
+// BM_MemoizedAnonDegree here.) CI merges this harness's JSON into
+// BENCH_pr10.json next to the committed BENCH_pr{2..10}.json trajectory
+// (tools/bench_diff.py renders the table).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
 #include "src/graph/generators.h"
 #include "src/protocols/anon_frontier.h"
-#include "src/protocols/two_cliques.h"
-#include "src/sym/reach.h"
 #include "src/wb/exhaustive.h"
 
 namespace wb {
@@ -33,31 +27,6 @@ std::uint64_t factorial(std::uint64_t n) {
 }
 
 const auto kAcceptAll = [](const ExecutionResult&) { return true; };
-
-void BM_SymbolicCircuitTwoCliques(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph g = two_cliques(n);  // 2n nodes, (2n)! schedules
-  const TwoCliquesProtocol p;
-  sym::SymbolicTotals totals;
-  for (auto _ : state) {
-    totals = sym::symbolic_sweep(g, p);
-    benchmark::DoNotOptimize(totals);
-  }
-  if (totals.executions != factorial(2 * n)) {
-    state.SkipWithError("symbolic count disagrees with (2n)!");
-    return;
-  }
-  state.counters["executions"] =
-      benchmark::Counter(static_cast<double>(totals.executions));
-  state.counters["bdd_nodes"] =
-      benchmark::Counter(static_cast<double>(totals.bdd.nodes));
-  state.counters["vars"] = benchmark::Counter(static_cast<double>(totals.vars));
-}
-BENCHMARK(BM_SymbolicCircuitTwoCliques)
-    ->Arg(3)
-    ->Arg(4)
-    ->Arg(5)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_EnumeratedAnonDegree(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -27,7 +27,6 @@
 #include "src/protocols/triangle.h"
 #include "src/protocols/two_cliques.h"
 #include "src/support/hash.h"
-#include "src/sym/reach.h"
 #include "src/wb/batch.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
@@ -64,7 +63,6 @@ struct RunPlan {
   std::uint64_t seed = 0;       // else: standard_adversaries(g, seed)
   BatchOptions batch;
   const ExhaustiveRunOptions* exhaustive = nullptr;  // set: sweep every schedule
-  bool symbolic = false;                         // set: BDD sweep, no schedules
   const ShardRunRequest* shard_run = nullptr;    // set: run one shard
   const ShardPlanRequest* shard_plan = nullptr;  // set: emit the plan only
 };
@@ -240,30 +238,6 @@ std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
   return {std::move(report)};
 }
 
-/// Symbolic plan (src/sym/reach.h): the serial enumerator's exact
-/// schedules/distinct/verdict accounting from a BDD fixpoint, enumerating
-/// zero schedules. The circuit model carries its own decoded-incorrect set,
-/// so the runner's check is never called; tests/sym/sym_equiv_test.cpp pins
-/// the two to the same answers.
-std::vector<RunReport> run_symbolic(const Protocol& protocol, const Graph& g) {
-  const sym::SymbolicTotals totals = sym::symbolic_sweep(g, protocol);
-  // DistinctConfig{} (exact): the symbolic distinct count is exact by
-  // construction, and the default config keeps these lines byte-identical
-  // to the `exhaustive:1` oracle's — what the CI smoke diffs.
-  RunReport report = sweep_report(
-      g, protocol, "symbolic",
-      " — " + std::to_string(totals.vars) + " vars, " +
-          std::to_string(totals.layers) + " layers, 0 schedules enumerated",
-      {totals.executions, totals.engine_failures, totals.wrong_outputs,
-       totals.distinct},
-      DistinctConfig{});
-  report.summary += "bdd        " + std::to_string(totals.bdd.nodes) +
-                    " nodes, " + std::to_string(totals.bdd.cache_hits) + "/" +
-                    std::to_string(totals.bdd.cache_lookups) +
-                    " cache hits\n";
-  return {std::move(report)};
-}
-
 /// Memoized exhaustive plan (wb::sweep_memoized): serial sweep answering
 /// repeated engine states from a memo table. The schedules/verdict lines
 /// are byte-identical to the unmemoized serial sweep's; the adversary line
@@ -433,7 +407,6 @@ std::vector<RunReport> run_typed(const P& protocol, const Graph& g,
   if (plan.exhaustive != nullptr) {
     return run_exhaustive(protocol, g, *plan.exhaustive, check);
   }
-  if (plan.symbolic) return run_symbolic(protocol, g);
   std::vector<BatteryRun> runs;
   if (plan.single != nullptr) {
     Trial t;
@@ -765,13 +738,6 @@ RunReport run_protocol_spec_exhaustive(const std::string& spec, const Graph& g,
   opts.threads = threads;
   opts.max_executions = max_executions;
   return run_protocol_spec_exhaustive(spec, g, opts);
-}
-
-RunReport run_protocol_spec_symbolic(const std::string& spec,
-                                     const Graph& g) {
-  RunPlan plan;
-  plan.symbolic = true;
-  return std::move(dispatch_spec(spec, g, plan).front());
 }
 
 std::vector<shard::ShardSpec> plan_protocol_spec_shards(

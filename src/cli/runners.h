@@ -104,14 +104,6 @@ struct ExhaustiveRunOptions {
     const std::string& protocol_spec, const Graph& g, std::size_t threads = 0,
     std::uint64_t max_executions = 2'000'000);
 
-/// Validate `protocol_spec` on `g` with the symbolic (BDD) backend
-/// (src/sym/reach.h): the same exact schedules/distinct/verdict accounting
-/// as run_protocol_spec_exhaustive with threads=1, computed without
-/// enumerating any schedule. Throws wb::sym::SymUnsupportedError for the
-/// protocols the backend refuses (CLI exit 2).
-[[nodiscard]] RunReport run_protocol_spec_symbolic(
-    const std::string& protocol_spec, const Graph& g);
-
 /// Plan a sharded exhaustive sweep: construct the protocol named by
 /// `protocol_spec`, partition its schedule tree on `g`, and distribute the
 /// subtree prefixes round-robin over `shard_count` self-describing specs

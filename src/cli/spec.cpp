@@ -267,47 +267,6 @@ std::string format_sweep_spec(const SweepSpec& spec) {
   return out;
 }
 
-bool is_symbolic_spec(const std::string& spec) {
-  return split_spec(spec)[0] == "symbolic";
-}
-
-void check_symbolic_spec(const std::string& spec) {
-  const auto parts = split_spec(spec);
-  WB_REQUIRE_MSG(parts[0] == "symbolic",
-                 "not a symbolic spec: '" << spec << "'");
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const std::string& token = parts[i];
-    // Enumerator options get the typed refusal so callers (and exit codes)
-    // can tell "the backend does not do this" from "you typo'd the spec".
-    if (token.starts_with("faults=")) {
-      throw sym::SymUnsupportedError(
-          "fault models — the BDD transition relation is fault-free; use "
-          "exhaustive:faults=...");
-    }
-    if (token.starts_with("distinct=")) {
-      throw sym::SymUnsupportedError(
-          "distinct= accumulators — the symbolic distinct count is exact by "
-          "construction");
-    }
-    if (token.starts_with("budget=")) {
-      throw sym::SymUnsupportedError(
-          "budget= — no schedules are enumerated, so there is no execution "
-          "budget to bound");
-    }
-    if (token.starts_with("shards=")) {
-      throw sym::SymUnsupportedError(
-          "shards= — the symbolic sweep is one in-process fixpoint");
-    }
-    if (!token.empty() &&
-        token.find_first_not_of("0123456789") == std::string::npos) {
-      throw sym::SymUnsupportedError(
-          "thread counts — the symbolic sweep is one in-process fixpoint");
-    }
-    WB_REQUIRE_MSG(false, "expected symbolic (no options), got '" << spec
-                                                                    << "'");
-  }
-}
-
 std::string graph_spec_help() {
   return "graphs: path:N cycle:N complete:N star:N grid:RxC twocliques:N\n"
          "        switched:N tree:N:SEED forest:N:PCT:SEED kdeg:N:K:PCT:SEED\n"

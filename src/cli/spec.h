@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/sym/encode.h"
 #include "src/wb/adversary.h"
 #include "src/wb/distinct.h"
 #include "src/wb/faults.h"
@@ -117,22 +116,6 @@ struct SweepSpec {
 /// Canonical text of a SweepSpec: defaulted fields are omitted, options
 /// appear in the grammar order. parse ∘ format is the identity.
 [[nodiscard]] std::string format_sweep_spec(const SweepSpec& spec);
-
-/// The symbolic (BDD) sweep backend (src/sym/reach.h) takes no options:
-///
-///   symbolic
-///
-/// The backend answers exactly what the serial enumerator answers
-/// (schedules / distinct / verdict) — so the enumerator-only options are
-/// refused with a typed wb::sym::SymUnsupportedError (CLI exit 2):
-/// thread counts, shards=, budget= (nothing is enumerated, no budget to
-/// exceed), faults=, and distinct= (the count is exact by construction).
-/// Any other token is a plain DataError, as everywhere in the grammar.
-[[nodiscard]] bool is_symbolic_spec(const std::string& spec);
-/// Validate a `symbolic...` spec: returns iff it is exactly `symbolic`.
-/// Throws SymUnsupportedError for enumerator options the backend refuses,
-/// wb::DataError on any other token.
-void check_symbolic_spec(const std::string& spec);
 
 /// Human-readable lists for --help.
 [[nodiscard]] std::string graph_spec_help();

@@ -87,13 +87,24 @@ Graph Graph::from_pair_stream(std::size_t n, const PairReplay& emit_all,
   local.peak_bytes = g.offsets_.capacity() * sizeof(std::uint64_t) +
                      g.adjacency_.capacity() * sizeof(NodeId);
 
-  // Pass 2: scatter both arc directions, offsets_[v-1] as write cursor.
+  // Pass 2: scatter both arc directions, offsets_[v-1] as write cursor. The
+  // cursors were sized by pass 1, so a replay that emits more or other pairs
+  // (e.g. a file changed between passes) must be refused before it writes
+  // out of bounds.
   std::size_t replayed = 0;
   emit_all([&](NodeId a, NodeId b) {
     ++replayed;
+    WB_CHECK_MSG(a >= 1 && a <= n && b >= 1 && b <= n,
+                 "pair stream replay differs from its first pass at pair {"
+                     << a << "," << b << "}");
     if (a == b) return;
-    g.adjacency_[static_cast<std::size_t>(g.offsets_[a - 1]++)] = b;
-    g.adjacency_[static_cast<std::size_t>(g.offsets_[b - 1]++)] = a;
+    const auto at_a = static_cast<std::size_t>(g.offsets_[a - 1]++);
+    const auto at_b = static_cast<std::size_t>(g.offsets_[b - 1]++);
+    WB_CHECK_MSG(at_a < total && at_b < total,
+                 "pair stream replay differs from its first pass at pair {"
+                     << a << "," << b << "}");
+    g.adjacency_[at_a] = b;
+    g.adjacency_[at_b] = a;
   });
   WB_CHECK_MSG(replayed == local.pairs,
                "pair stream replayed " << replayed << " pairs, expected "

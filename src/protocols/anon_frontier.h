@@ -8,12 +8,11 @@
 // same-degree nodes in swapped order *converge* to the same engine state.
 // That convergence is what the paper's one-write model makes interesting
 // (§1: with few bits the board no longer describes the graph — here it only
-// carries the degree sequence) and what two subsystems exercise directly:
-//
-//  - the memoized enumerator (ExhaustiveOptions::memoize) shares converged
-//    subtrees, visiting far fewer states than schedules;
-//  - the symbolic backend counts its distinct boards as permutations of a
-//    multiset (n! / prod(multiplicity!)) without enumerating schedules.
+// carries the degree sequence) and what the memoized enumerator
+// (ExhaustiveOptions::memoize) exercises directly: it shares converged
+// subtrees, visiting far fewer states than schedules. The distinct final
+// boards are the permutations of the degree multiset,
+// n! / prod(multiplicity!).
 //
 // The output is the sorted written degree list; it is correct iff it equals
 // the graph's degree sequence, which every schedule achieves — the protocol

@@ -176,45 +176,6 @@ TEST(SweepSpec, ParsesTheMemoizeOption) {
   EXPECT_THROW((void)sweep_from_spec("exhaustive:memoize:memoize"), DataError);
 }
 
-TEST(SymbolicGrammar, TakesNoOptions) {
-  EXPECT_TRUE(is_symbolic_spec("symbolic"));
-  EXPECT_TRUE(is_symbolic_spec("symbolic:order=grouped"));
-  EXPECT_FALSE(is_symbolic_spec("exhaustive"));
-  EXPECT_FALSE(is_symbolic_spec("battery"));
-
-  EXPECT_NO_THROW(check_symbolic_spec("symbolic"));
-  // Any option is an unknown token: a plain DataError, not the typed
-  // refusal the enumerator options get.
-  for (const char* spec :
-       {"symbolic:order=grouped", "symbolic:order=interleave",
-        "symbolic:engine=frontier", "symbolic:engine=circuit",
-        "symbolic:junk"}) {
-    try {
-      check_symbolic_spec(spec);
-      ADD_FAILURE() << "accepted " << spec;
-    } catch (const sym::SymUnsupportedError&) {
-      ADD_FAILURE() << "typed refusal for unknown token in " << spec;
-    } catch (const DataError&) {
-    }
-  }
-}
-
-TEST(SymbolicGrammar, EnumeratorOptionsAreTypedRefusals) {
-  // The backend enumerates nothing: thread counts, budgets, shards, fault
-  // models, and distinct accumulators have no symbolic meaning. Each is a
-  // SymUnsupportedError (exit 2), not a generic parse error.
-  for (const char* spec :
-       {"symbolic:1", "symbolic:4", "symbolic:budget=1000",
-        "symbolic:shards=2", "symbolic:faults=crash:1",
-        "symbolic:distinct=hll:12"}) {
-    EXPECT_THROW(check_symbolic_spec(spec), sym::SymUnsupportedError)
-        << spec;
-  }
-  // memoize belongs to the enumerator grammar; here it is just an unknown
-  // token, not a capability the backend declines.
-  EXPECT_THROW(check_symbolic_spec("symbolic:memoize"), DataError);
-}
-
 TEST(SweepSpec, FormatParseRoundTrip) {
   // format ∘ parse is the identity on canonical text...
   for (const char* canonical : {
@@ -313,6 +274,7 @@ TEST(AdversarySpec, AllKinds) {
   EXPECT_EQ(adversary_from_spec("random:5", g)->name(), "random");
   EXPECT_THROW((void)adversary_from_spec("evil", g), DataError);
   EXPECT_THROW((void)adversary_from_spec("random", g), DataError);
+  EXPECT_THROW((void)adversary_from_spec("symbolic", g), DataError);
 }
 
 }  // namespace

@@ -164,6 +164,25 @@ TEST(FromPairStream, RejectsNonDeterministicReplay) {
                      if (++pass > 1) sink(1, 2);  // extra pair on replay
                    }),
                LogicError);
+  // Same pair count, but the replay piles node 3's arcs past the end of
+  // the adjacency array, or names a node outside 1..n.
+  const std::pair<NodeId, NodeId> replays[] = {{3, 2}, {1, 4}};
+  for (const auto& replay : replays) {
+    pass = 0;
+    EXPECT_THROW((void)Graph::from_pair_stream(
+                     3,
+                     [&](const Graph::PairSink& sink) {
+                       if (++pass == 1) {
+                         sink(1, 2);
+                         sink(1, 3);
+                       } else {
+                         sink(replay.first, replay.second);
+                         sink(replay.first, replay.second);
+                       }
+                     }),
+                 LogicError)
+        << replay.first << "," << replay.second;
+  }
 }
 
 TEST(FromPairStream, RejectsOutOfRangePairs) {

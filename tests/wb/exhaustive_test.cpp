@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -502,13 +503,11 @@ TEST(ExhaustiveParallel, RetainedBoardSnapshotsSurviveParallelBacktracking) {
 // ---- the memoized enumerator against the serial oracle ----
 //
 // Driven through the CLI runner so the pins cover the report bytes CI diffs.
-// These share the SymEquiv suite with tests/sym/sym_equiv_test.cpp: both pin
-// an alternative sweep backend to the `exhaustive:1` oracle.
 
 namespace wb::cli {
 namespace {
 
-TEST(SymEquiv, MemoizedSweepIsBitIdenticalToTheOracle) {
+TEST(MemoizedSweep, MemoizedSweepIsBitIdenticalToTheOracle) {
   // anon-degree on a star: all leaves share one degree, so schedules
   // converge factorially and the memo actually collapses the tree. The
   // report must not change by a byte.
@@ -532,7 +531,7 @@ TEST(SymEquiv, MemoizedSweepIsBitIdenticalToTheOracle) {
       << oracle.summary;
 }
 
-TEST(SymEquiv, MemoizationCollapsesConvergingSchedules) {
+TEST(MemoizedSweep, MemoizationCollapsesConvergingSchedules) {
   // Direct sweep_memoized accounting: 7! = 5040 executions but far fewer
   // distinct states, because the anonymous messages erase write order.
   const Graph g = graph_from_spec("star:7");
@@ -549,7 +548,7 @@ TEST(SymEquiv, MemoizationCollapsesConvergingSchedules) {
   EXPECT_LT(t.terminals_visited, t.executions);
 }
 
-TEST(SymEquiv, MemoizationIsIdentityOnSignedProtocols) {
+TEST(MemoizedSweep, MemoizationIsIdentityOnSignedProtocols) {
   // two-cliques signs every message with write_id: no two schedules
   // converge, the memo never hits, and the totals are still identical.
   const Graph g = graph_from_spec("twocliques:3");
@@ -564,7 +563,7 @@ TEST(SymEquiv, MemoizationIsIdentityOnSignedProtocols) {
   EXPECT_EQ(memoized.executions, 720u);
 }
 
-TEST(SymEquiv, MemoizedHllDistinctMatchesTheOracle) {
+TEST(MemoizedSweep, MemoizedHllDistinctMatchesTheOracle) {
   const Graph g = graph_from_spec("star:6");
   ExhaustiveRunOptions plain;
   plain.threads = 1;
@@ -579,7 +578,7 @@ TEST(SymEquiv, MemoizedHllDistinctMatchesTheOracle) {
       << memoized.summary;
 }
 
-TEST(SymEquiv, MemoizedBudgetThrowsExactlyWhenTheOracleWould) {
+TEST(MemoizedSweep, MemoizedBudgetThrowsExactlyWhenTheOracleWould) {
   const Graph g = graph_from_spec("star:7");  // 5040 schedules
   ExhaustiveRunOptions memo;
   memo.threads = 1;
@@ -593,19 +592,39 @@ TEST(SymEquiv, MemoizedBudgetThrowsExactlyWhenTheOracleWould) {
   EXPECT_EQ(r.executions, 5040u);
 }
 
-TEST(SymEquiv, MemoizedReportLinesMatchTheOracleTable) {
+/// n! / prod(multiplicity!) over g's degree multiset: the number of distinct
+/// orders in which anonymous degrees can be written, hence anon-degree's
+/// distinct final boards.
+std::uint64_t degree_permutations(const Graph& g) {
+  std::map<std::size_t, std::uint64_t> multiplicity;
+  std::uint64_t count = 1;
+  for (NodeId v = 1; v <= g.node_count(); ++v) {
+    // Multiplying by v / (occurrences so far) keeps every step integral.
+    count = count * v / ++multiplicity[g.degree(v)];
+  }
+  return count;
+}
+
+TEST(MemoizedSweep, MemoizedReportLinesMatchTheOracleTable) {
   // Activation-gated SYNC protocols (real activation predicates, deadlocks,
-  // variable-width messages) and a fixture that is wrong on most schedules,
-  // which pins the wrong-output accounting.
+  // variable-width messages), a NO instance, converging anonymous boards,
+  // and a fixture that is wrong on most schedules, which pins the
+  // wrong-output accounting.
   struct Row {
     const char* graph;
     const char* protocol;
     std::uint64_t wrong_outputs;
+    std::uint64_t degree_permutations = 0;  // anon-degree rows only
   };
   const Row rows[] = {
       {"cgnp:8:1/2:3", "sync-bfs", 0},
       {"twocliques:3", "spanning-forest", 0},
       {"path:5", "spanning-forest", 0},
+      {"switched:3", "two-cliques", 0},
+      {"path:4", "mis:1", 0},
+      {"star:5", "anon-degree", 0, 5},
+      {"cycle:6", "anon-degree", 0, 1},
+      {"grid:3x3", "anon-degree", 0, 630},
       // Wrong unless node 2 writes first: 18 of the 4! schedules.
       {"complete:4", "broken-first:2", 18},
   };
@@ -625,6 +644,14 @@ TEST(SymEquiv, MemoizedReportLinesMatchTheOracleTable) {
     EXPECT_EQ(memoized.engine_failures, oracle.engine_failures) << label;
     EXPECT_EQ(memoized.wrong_outputs, row.wrong_outputs) << label;
     EXPECT_EQ(oracle.wrong_outputs, row.wrong_outputs) << label;
+    if (row.degree_permutations != 0) {
+      EXPECT_EQ(degree_permutations(g), row.degree_permutations) << label;
+      EXPECT_NE(report_lines(memoized).find(
+                    ", " + std::to_string(row.degree_permutations) +
+                    " distinct final boards"),
+                std::string::npos)
+          << label << "\n" << memoized.summary;
+    }
   }
 }
 

@@ -11,15 +11,13 @@
 //   wbsim cgnp:150:1/8:3  sync-bfs          maxdeg
 //   wbsim twocliques:16   rand-two-cliques:99
 //
-// The pseudo-adversaries `battery[:SEED]` (the standard adversary battery,
-// parallel), `exhaustive...` (every schedule — the paper's correctness
-// quantifier) and `symbolic` (the same answer from a BDD fixpoint,
-// enumerating zero schedules — src/sym/reach.h) accept the unified sweep
-// grammar of src/cli/spec.h:
+// The pseudo-adversaries are `battery[:SEED]` (the standard adversary
+// battery, parallel) and `exhaustive...` (every schedule — the paper's
+// correctness quantifier), which accepts the unified sweep grammar of
+// src/cli/spec.h:
 //
 //   exhaustive[:THREADS][:memoize][:shards=K][:budget=N][:faults=F]
 //            [:distinct=exact|hll[:P]]
-//   symbolic
 //
 // `shards=K` runs the sweep as a K-worker *fleet*: the schedule tree is
 // planned into K shard specs, K persistent worker processes are spawned, and
@@ -848,13 +846,6 @@ int cmd_classic(const std::vector<std::string>& all_args) {
                    "--counterexample needs an exhaustive adversary spec");
     return run_battery(g, args[1], adversary_spec);
   }
-  if (wb::cli::is_symbolic_spec(adversary_spec)) {
-    WB_REQUIRE_MSG(!counterexample,
-                   "--counterexample needs an exhaustive adversary spec "
-                   "(the symbolic backend enumerates no schedules)");
-    wb::cli::check_symbolic_spec(adversary_spec);
-    return print_report(wb::cli::run_protocol_spec_symbolic(args[1], g));
-  }
   if (wb::cli::is_exhaustive_spec(adversary_spec)) {
     const wb::cli::SweepSpec sweep = wb::cli::sweep_from_spec(adversary_spec);
     if (sweep.shards > 0) {
@@ -893,7 +884,6 @@ wb::cli::CommandRegistry build_registry() {
           wb::cli::adversary_spec_help() +
           "\nsweeps: exhaustive[:THREADS][:memoize][:shards=K][:budget=N]"
           "[:faults=F][:distinct=exact|hll[:P]]"
-          "\n        symbolic"
           "\nfaults: none crash:F corrupt:NUM/DEN[:SEED] "
           "adaptive:SEED[:TRIALS]",
       "wbsim <graph-spec> <protocol-spec> [adversary-spec] "
