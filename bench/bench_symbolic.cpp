@@ -56,7 +56,6 @@ void BM_MemoizedAnonDegree(benchmark::State& state) {
   const AnonDegreeProtocol p;
   ExhaustiveOptions opts;
   opts.threads = 1;
-  opts.memoize = true;
   MemoizedTotals totals;
   std::uint64_t execs = 0;
   for (auto _ : state) {

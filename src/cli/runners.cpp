@@ -1,10 +1,9 @@
 #include "src/cli/runners.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,16 +143,13 @@ struct CounterexampleTracker {
   std::vector<NodeId> write_order;
   std::string status;
 
-  /// Returns true the first time a failure is recorded.
-  bool record(const ExecutionResult& r, const char* why) {
+  void record(const ExecutionResult& r, std::string_view why) {
     const std::lock_guard<std::mutex> lock(mu);
-    const bool first = !found;
     if (!found || r.write_order < write_order) {
       found = true;
       write_order = r.write_order;
       status = why;
     }
-    return first;
   }
 
   [[nodiscard]] std::string order_text() const {
@@ -195,49 +191,6 @@ FaultClassifier make_fault_classifier(const P& protocol, const Graph& g,
   };
 }
 
-/// Fault-model sweep: crash/corruption worlds exhaustively, the adaptive
-/// adversary statistically. Shares report shape (and the `schedules` /
-/// `verdict` line prefixes CI diffs) with the fault-free exhaustive runner.
-template <typename P, typename Check>
-std::vector<RunReport> run_exhaustive_faulty(const P& protocol, const Graph& g,
-                                             const ExhaustiveRunOptions& ropts,
-                                             const Check& check) {
-  const FaultClassifier classify = make_fault_classifier(protocol, g, check);
-  const std::string faults = ", faults=" + fault_spec_to_string(ropts.faults);
-  const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
-  if (adaptive || ropts.statistical_trials > 0) {
-    StatisticalOptions sopts;
-    sopts.trials = adaptive ? ropts.faults.trials : ropts.statistical_trials;
-    sopts.seed = ropts.faults.seed;
-    sopts.threads = ropts.threads;
-    const StatisticalTotals totals =
-        run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
-    return {sweep_report(
-        g, protocol,
-        std::string(adaptive ? "adaptive" : "statistical") +
-            "(threads=" + std::to_string(ropts.threads) + faults + ")",
-        "",
-        {totals.verdict.trials(), totals.engine_failures, totals.wrong_outputs,
-         0},
-        ropts.distinct, &totals.verdict)};
-  }
-  ExhaustiveOptions opts;
-  opts.threads = ropts.threads;
-  opts.max_executions = ropts.max_executions;
-  opts.distinct = ropts.distinct;
-  const FaultSweepTotals totals =
-      sweep_faulty_executions(g, protocol, ropts.faults, classify, opts);
-  RunReport report = sweep_report(
-      g, protocol,
-      "exhaustive(threads=" + std::to_string(ropts.threads) + faults + ")",
-      " — " + std::to_string(totals.worlds) + " fault worlds",
-      {totals.executions, totals.engine_failures, totals.wrong_outputs,
-       totals.distinct != nullptr ? totals.distinct->estimate() : 0},
-      ropts.distinct);
-  report.fault_worlds = totals.worlds;
-  return {std::move(report)};
-}
-
 /// Memoized exhaustive plan (wb::sweep_memoized): serial sweep answering
 /// repeated engine states from a memo table. The schedules/verdict lines
 /// are byte-identical to the unmemoized serial sweep's; the adversary line
@@ -258,7 +211,6 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
   opts.threads = 1;
   opts.max_executions = ropts.max_executions;
   opts.distinct = ropts.distinct;
-  opts.memoize = true;
   const MemoizedTotals totals = sweep_memoized(
       g, protocol,
       [&](const ExecutionResult& r) {
@@ -268,26 +220,27 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
       },
       opts);
 
-  return {sweep_report(
+  RunReport report = sweep_report(
       g, protocol, "exhaustive(threads=1, memoize)",
       " — " + std::to_string(totals.states_explored) + " states, " +
           std::to_string(totals.memo_hits) + " memo hits, " +
           std::to_string(totals.terminals_visited) + " terminals visited",
       {totals.executions, totals.engine_failures, totals.wrong_outputs,
        totals.distinct},
-      ropts.distinct)};
+      ropts.distinct);
+  report.fault_worlds = 1;
+  return {std::move(report)};
 }
 
-/// Exhaustive plan: one report aggregating every adversary schedule, from a
-/// SINGLE sweep — output validation and the distinct-board tally share one
-/// visitor instead of exploring the n! tree twice. The check callback is
-/// invoked concurrently from pool workers — it only reads the (const)
-/// graph/protocol and writes to per-worker sinks and per-task accumulators,
-/// so the shared state is the atomic tallies (and the counterexample
-/// tracker's mutex, touched only on failures). Distinct boards stream
-/// through one DistinctAccumulator per subtree task (exact sorted-run dedup
-/// or an hll sketch, per ropts.distinct) folded by the accumulator's
-/// order-oblivious merge — the same aggregation shape shard::run_shard uses.
+/// Exhaustive plan: one report aggregating every adversary schedule of
+/// every fault world (world 0 alone when fault-free), from a single
+/// sweep_faulty_executions pass — the loop shards and the fleet run too, so
+/// the tallies agree with theirs by construction. The adaptive model and
+/// `statistical_trials` sample seeded trials instead and report a Wilson
+/// interval. With `counterexample`, failures stream into the tracker: the
+/// serial DFS visits schedules in lexicographic write order, so its first
+/// failure IS the minimum and the sweep stops there; parallel sweeps keep
+/// going and take the minimum over every failure.
 template <typename P, typename Check>
 std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
                                       const ExhaustiveRunOptions& ropts,
@@ -297,67 +250,50 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     // rejection instead of silently dropping the flag.
     return run_exhaustive_memoized(protocol, g, ropts, check);
   }
-  if (ropts.faults.kind != FaultKind::kNone || ropts.statistical_trials > 0) {
-    return run_exhaustive_faulty(protocol, g, ropts, check);
+  const FaultClassifier classify = make_fault_classifier(protocol, g, check);
+  const std::string threads = "threads=" + std::to_string(ropts.threads);
+  const std::string faults = ", faults=" + fault_spec_to_string(ropts.faults);
+  const bool adaptive = ropts.faults.kind == FaultKind::kAdaptive;
+  if (adaptive || ropts.statistical_trials > 0) {
+    StatisticalOptions sopts;
+    sopts.trials = adaptive ? ropts.faults.trials : ropts.statistical_trials;
+    sopts.seed = ropts.faults.seed;
+    sopts.threads = ropts.threads;
+    const StatisticalTotals totals =
+        run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
+    return {sweep_report(
+        g, protocol,
+        std::string(adaptive ? "adaptive" : "statistical") + "(" + threads +
+            faults + ")",
+        "",
+        {totals.verdict.trials(), totals.engine_failures, totals.wrong_outputs,
+         0},
+        ropts.distinct, &totals.verdict)};
   }
   ExhaustiveOptions opts;
   opts.threads = ropts.threads;
   opts.max_executions = ropts.max_executions;
   opts.distinct = ropts.distinct;
-  const std::vector<PrefixTask> tasks =
-      partition_for_threads(g, protocol, opts.engine, opts.threads);
-  std::atomic<std::uint64_t> engine_failures{0};
-  std::atomic<std::uint64_t> wrong_outputs{0};
-  std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  accumulators.reserve(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    accumulators.push_back(make_distinct_accumulator(ropts.distinct));
-  }
   CounterexampleTracker cx;
-  // The serial DFS visits schedules in lexicographic write-order, so its
-  // first failure IS the minimum and the sweep may stop there; parallel
-  // sweeps must keep going and take the minimum over every failure.
   const bool stop_at_first_failure = ropts.counterexample && opts.threads == 1;
-  const std::uint64_t executions = for_each_execution_under(
-      g, protocol, tasks,
-      [&](const ExecutionResult& r, std::size_t task) {
-        accumulators[task]->insert(r.board.content_hash());
-        if (!r.ok()) {
-          engine_failures.fetch_add(1, std::memory_order_relaxed);
-          if (ropts.counterexample) {
-            cx.record(r, status_name(r.status).data());
-            return !stop_at_first_failure;
-          }
-          return true;
-        }
-        // The verdict text is discarded; seekp(0) reuses the worker's buffer
-        // so the hot loop stays allocation-free after warmup.
-        thread_local std::ostringstream sink;
-        sink.seekp(0);
-        if (!check(protocol.output(r.board, g.node_count()), sink)) {
-          wrong_outputs.fetch_add(1, std::memory_order_relaxed);
-          if (ropts.counterexample) {
-            cx.record(r, "wrong-output");
-            return !stop_at_first_failure;
-          }
-        }
-        return true;
-      },
-      opts);
-  std::uint64_t distinct = 0;
-  if (!accumulators.empty()) {
-    std::unique_ptr<DistinctAccumulator> total =
-        std::move(accumulators.front());
-    for (std::size_t t = 1; t < accumulators.size(); ++t) {
-      total->merge(std::move(*accumulators[t]));
-    }
-    distinct = total->estimate();
+  FailureCallback on_failure;
+  if (ropts.counterexample) {
+    on_failure = [&](const ExecutionResult& r, FaultVerdict verdict) {
+      cx.record(r, r.ok() ? fault_verdict_name(verdict)
+                          : status_name(r.status));
+      return !stop_at_first_failure;
+    };
   }
-
+  const FaultSweepTotals totals = sweep_faulty_executions(
+      g, protocol, ropts.faults, classify, opts, on_failure);
+  const bool fault_free = ropts.faults.kind == FaultKind::kNone;
   RunReport report = sweep_report(
-      g, protocol, "exhaustive(threads=" + std::to_string(opts.threads) + ")",
-      "", {executions, engine_failures.load(), wrong_outputs.load(), distinct},
+      g, protocol, "exhaustive(" + threads + (fault_free ? "" : faults) + ")",
+      fault_free ? "" : " — " + std::to_string(totals.worlds) + " fault worlds",
+      {totals.executions, totals.engine_failures, totals.wrong_outputs,
+       totals.distinct->estimate()},
       ropts.distinct);
+  report.fault_worlds = totals.worlds;
   if (ropts.counterexample) {
     std::ostringstream os;
     if (cx.found) {

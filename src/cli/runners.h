@@ -38,6 +38,8 @@ struct RunReport {
   std::uint64_t executions = 0;
   std::uint64_t engine_failures = 0;
   std::uint64_t wrong_outputs = 0;
+  /// Worlds an exhaustive sweep covered: 1 when fault-free (world 0 of the
+  /// fault sweep), every crash world under crash:F.
   std::uint64_t fault_worlds = 0;
   /// Statistical (adaptive-adversary) sweeps: sampled trials instead of an
   /// exhaustive visit set, with the verdict tally for Wilson intervals.
@@ -63,10 +65,10 @@ struct ExhaustiveRunOptions {
   std::size_t threads = 0;
   std::uint64_t max_executions = 2'000'000;
   /// Track the smallest-prefix failing schedule (lexicographically smallest
-  /// failing write order) and report it. Deterministic at any thread count:
-  /// the serial sweep stops at its first failure — which DFS order makes the
-  /// minimum — while parallel sweeps keep the running minimum over every
-  /// failure they visit.
+  /// failing write order) of a fault-free sweep and report it. Deterministic
+  /// at any thread count: the serial sweep stops at its first failure —
+  /// which DFS order makes the minimum — while parallel sweeps keep the
+  /// running minimum over every failure they visit.
   bool counterexample = false;
   /// Hash-consed state memoization (wb::sweep_memoized): serial, fault-free,
   /// no counterexample tracking; the report's schedules/verdict lines are
@@ -75,10 +77,11 @@ struct ExhaustiveRunOptions {
   /// Distinct-board accumulator (src/wb/distinct.h): exact sorted-run dedup
   /// (default) or a HyperLogLog estimate with flat memory.
   DistinctConfig distinct{};
-  /// Failure model (src/wb/faults.h). Fault-free sweeps are byte-identical
-  /// to the pre-fault runner; crash/corruption models sweep every fault
-  /// world exhaustively; the adaptive model samples seeded trials and
-  /// reports a statistical verdict with a Wilson confidence interval.
+  /// Failure model (src/wb/faults.h). Every exhaustive sweep runs through
+  /// wb::sweep_faulty_executions — a fault-free sweep is its world 0;
+  /// crash/corruption models sweep every fault world; the adaptive model
+  /// samples seeded trials and reports a statistical verdict with a Wilson
+  /// confidence interval.
   FaultSpec faults{};
   /// Nonzero = sample this many seeded trials of the configured failure
   /// model instead of sweeping exhaustively (any fault kind, fault-free
@@ -92,7 +95,10 @@ struct ExhaustiveRunOptions {
 /// Exhaustively validate `protocol_spec` on `g`: visit *every* adversary
 /// schedule (the paper's correctness quantifier), fanned out across the
 /// shared worker pool, and validate each execution's output against the
-/// reference algorithms. The report is deterministic at any thread count.
+/// reference algorithms. An execution counts as an engine failure when the
+/// engine fails or the decoder rejects the final board (wb::DataError), and
+/// as a wrong output when the decoded output fails validation. The report
+/// is deterministic at any thread count.
 /// Throws wb::BudgetExceededError when the schedule space exceeds
 /// opts.max_executions.
 [[nodiscard]] RunReport run_protocol_spec_exhaustive(

@@ -67,8 +67,7 @@ VerdictCell cell_from_report(const std::string& protocol_spec,
   cell.graph_spec = graph_spec;
   cell.faults = faults;
   cell.statistical = report.statistical;
-  // The fault-free sweep is the one-world special case of the fault sweep.
-  cell.worlds = report.fault_worlds > 0 ? report.fault_worlds : 1;
+  cell.worlds = report.fault_worlds;
   cell.executions = report.executions;
   cell.engine_failures = report.engine_failures;
   cell.wrong_outputs = report.wrong_outputs;

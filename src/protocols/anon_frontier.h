@@ -9,7 +9,7 @@
 // That convergence is what the paper's one-write model makes interesting
 // (§1: with few bits the board no longer describes the graph — here it only
 // carries the degree sequence) and what the memoized enumerator
-// (ExhaustiveOptions::memoize) exercises directly: it shares converged
+// (wb::sweep_memoized) exercises directly: it shares converged
 // subtrees, visiting far fewer states than schedules. The distinct final
 // boards are the permutations of the degree multiset,
 // n! / prod(multiplicity!).

@@ -23,9 +23,11 @@
 // here satisfy it structurally: a sorted-run union and a register-wise max
 // are idempotent, commutative, and associative.
 //
-// The sweep idiom (count_distinct_final_boards, shard::run_shard, the CLI
-// exhaustive runner): one accumulator per subtree task — exclusive to its
-// worker, so inserts need no locking — folded with merge() afterwards.
+// The sweep idiom (sweep_fault_tasks — which the CLI exhaustive runner,
+// shard::run_shard and the fleet all run — and count_distinct_final_boards):
+// one accumulator per subtree task — exclusive to its worker, so inserts
+// need no locking — folded with merge() afterwards. sweep_memoized keeps a
+// single accumulator, since its walk is serial.
 #pragma once
 
 #include <algorithm>

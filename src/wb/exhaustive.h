@@ -58,12 +58,9 @@ struct ExhaustiveOptions {
   /// layer above it): exact sorted-run dedup, or a HyperLogLog sketch whose
   /// memory is flat in the cardinality. See src/wb/distinct.h.
   DistinctConfig distinct{};
-  /// Hash-consed state memoization (sweep_memoized below): branches whose
-  /// engine state — board content + written set, EngineState::memo_key() —
-  /// was already explored are answered from a memo table instead of
-  /// re-descending. Totals are bit-identical to the unmemoized serial sweep;
-  /// the visitor-level APIs (for_each_execution*) ignore the flag, since
-  /// their contract is one visit per execution. Serial only.
+  /// Read by no sweep: memoization is selected by calling sweep_memoized.
+  /// Kept only because perfbench/round.cpp still sets it; delete both
+  /// together.
   bool memoize = false;
   EngineOptions engine;
 };
@@ -115,9 +112,8 @@ struct PrefixTask {
 /// thread, 1 = the single whole-tree task of the serial path; otherwise
 /// several tasks per worker so dynamic claiming load-balances subtrees of
 /// uneven size). This is the one place the load-balancing policy lives —
-/// for_each_execution and the CLI exhaustive runner both partition through
-/// it, so a caller pairing for_each_execution_under with per-task
-/// aggregation sweeps exactly the library's own task shape.
+/// for_each_execution and sweep_faulty_executions (src/wb/faults.h, the CLI
+/// exhaustive runner's sweep) both partition through it.
 [[nodiscard]] std::vector<PrefixTask> partition_for_threads(
     const Graph& g, const Protocol& p, const EngineOptions& eopts,
     std::size_t threads);

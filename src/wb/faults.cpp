@@ -364,10 +364,27 @@ void make_world(WorldProtocol& out, const Graph& g, const Protocol& p,
   }
 }
 
-std::uint64_t exhaustive_world_count(const Graph& g, const FaultSpec& faults) {
-  return faults.kind == FaultKind::kCrash
-             ? crash_world_count(g.node_count(), faults.crash_f)
-             : 1;
+/// The (world, prefix) tasks of every exhaustive world of `faults`, each
+/// world's adapted protocol split by `split`.
+template <typename Split>
+std::vector<FaultTask> tasks_per_world(const Graph& g, const Protocol& p,
+                                       const FaultSpec& faults,
+                                       const Split& split) {
+  WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
+               "adaptive faults sweep statistically — no exhaustive partition");
+  const std::uint64_t worlds =
+      faults.kind == FaultKind::kCrash
+          ? crash_world_count(g.node_count(), faults.crash_f)
+          : 1;
+  std::vector<FaultTask> out;
+  WorldProtocol wp;
+  for (std::uint64_t w = 0; w < worlds; ++w) {
+    make_world(wp, g, p, faults, w);
+    for (const PrefixTask& t : split(wp.active(), worlds)) {
+      out.push_back(FaultTask{w, t});
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -376,55 +393,40 @@ std::vector<FaultTask> partition_fault_tasks(const Graph& g, const Protocol& p,
                                              const FaultSpec& faults,
                                              const EngineOptions& eopts,
                                              std::size_t target_tasks) {
-  WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
-               "adaptive faults sweep statistically — no exhaustive partition");
-  const std::uint64_t worlds = exhaustive_world_count(g, faults);
-  const std::size_t per_world = static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, target_tasks / worlds));
-  std::vector<FaultTask> out;
-  WorldProtocol wp;
-  for (std::uint64_t w = 0; w < worlds; ++w) {
-    make_world(wp, g, p, faults, w);
-    for (const PrefixTask& t :
-         partition_executions(g, wp.active(), eopts, per_world)) {
-      out.push_back(FaultTask{w, t});
-    }
-  }
-  return out;
+  return tasks_per_world(
+      g, p, faults, [&](const Protocol& world, std::uint64_t worlds) {
+        const std::size_t per_world = static_cast<std::size_t>(
+            std::max<std::uint64_t>(1, target_tasks / worlds));
+        return partition_executions(g, world, eopts, per_world);
+      });
 }
 
-namespace {
-
-/// Shared core of sweep_fault_tasks / sweep_faulty_executions: sweep a list
-/// of worlds, each with either a supplied prefix list or (when empty) the
-/// thread-shaped partition, under one global execution budget.
-FaultSweepTotals sweep_worlds(
-    const Graph& g, const Protocol& p, const FaultSpec& faults,
-    const std::map<std::uint64_t, std::vector<PrefixTask>>& world_prefixes,
-    bool partition_per_world, const FaultClassifier& classify,
-    const ExhaustiveOptions& opts) {
+FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
+                                   const FaultSpec& faults,
+                                   std::span<const FaultTask> tasks,
+                                   const FaultClassifier& classify,
+                                   const ExhaustiveOptions& opts,
+                                   const FailureCallback& on_failure) {
   WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
                "adaptive faults sweep statistically — use "
                "run_statistical_verdict");
+  std::map<std::uint64_t, std::vector<PrefixTask>> by_world;
+  for (const FaultTask& t : tasks) {
+    by_world[t.world].push_back(t.prefix);
+  }
   FaultSweepTotals totals;
   totals.distinct = make_distinct_accumulator(opts.distinct);
   std::uint64_t remaining = opts.max_executions;
   std::atomic<std::uint64_t> engine_failures{0};
   std::atomic<std::uint64_t> wrong_outputs{0};
+  std::atomic<bool> stopped{false};
   WorldProtocol wp;
-  std::vector<PrefixTask> scratch;
-  for (const auto& [world, prefixes] : world_prefixes) {
+  for (const auto& [world, prefixes] : by_world) {
     make_world(wp, g, p, faults, world);
     const std::span<const NodeId> crashed = wp.crashed();
-    const std::vector<PrefixTask>* tasks = &prefixes;
-    if (partition_per_world) {
-      scratch =
-          partition_for_threads(g, wp.active(), opts.engine, opts.threads);
-      tasks = &scratch;
-    }
     std::vector<std::unique_ptr<DistinctAccumulator>> acc;
-    acc.reserve(tasks->size());
-    for (std::size_t i = 0; i < tasks->size(); ++i) {
+    acc.reserve(prefixes.size());
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
       acc.push_back(make_distinct_accumulator(opts.distinct));
     }
     ExhaustiveOptions wopts = opts;
@@ -432,18 +434,23 @@ FaultSweepTotals sweep_worlds(
     std::uint64_t visited = 0;
     try {
       visited = for_each_execution_under(
-          g, wp.active(), *tasks,
+          g, wp.active(), prefixes,
           [&](const ExecutionResult& r, std::size_t task_idx) {
             acc[task_idx]->insert(r.board.content_hash());
-            switch (classify(r, crashed)) {
+            const FaultVerdict verdict = classify(r, crashed);
+            switch (verdict) {
               case FaultVerdict::kCorrect:
-                break;
+                return true;
               case FaultVerdict::kWrongOutput:
                 wrong_outputs.fetch_add(1, std::memory_order_relaxed);
                 break;
               case FaultVerdict::kDeadlockOrFault:
                 engine_failures.fetch_add(1, std::memory_order_relaxed);
                 break;
+            }
+            if (on_failure && !on_failure(r, verdict)) {
+              stopped.store(true, std::memory_order_relaxed);
+              return false;
             }
             return true;
           },
@@ -456,41 +463,23 @@ FaultSweepTotals sweep_worlds(
     remaining -= visited;
     for (auto& a : acc) totals.distinct->merge(std::move(*a));
     ++totals.worlds;
+    if (stopped.load(std::memory_order_relaxed)) break;
   }
   totals.engine_failures = engine_failures.load();
   totals.wrong_outputs = wrong_outputs.load();
   return totals;
 }
 
-}  // namespace
-
-FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
-                                   const FaultSpec& faults,
-                                   std::span<const FaultTask> tasks,
-                                   const FaultClassifier& classify,
-                                   const ExhaustiveOptions& opts) {
-  std::map<std::uint64_t, std::vector<PrefixTask>> by_world;
-  for (const FaultTask& t : tasks) {
-    by_world[t.world].push_back(t.prefix);
-  }
-  return sweep_worlds(g, p, faults, by_world, /*partition_per_world=*/false,
-                      classify, opts);
-}
-
 FaultSweepTotals sweep_faulty_executions(const Graph& g, const Protocol& p,
                                          const FaultSpec& faults,
                                          const FaultClassifier& classify,
-                                         const ExhaustiveOptions& opts) {
-  WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
-               "adaptive faults sweep statistically — use "
-               "run_statistical_verdict");
-  std::map<std::uint64_t, std::vector<PrefixTask>> worlds;
-  const std::uint64_t count = exhaustive_world_count(g, faults);
-  for (std::uint64_t w = 0; w < count; ++w) {
-    worlds.emplace(w, std::vector<PrefixTask>{});
-  }
-  return sweep_worlds(g, p, faults, worlds, /*partition_per_world=*/true,
-                      classify, opts);
+                                         const ExhaustiveOptions& opts,
+                                         const FailureCallback& on_failure) {
+  const std::vector<FaultTask> tasks = tasks_per_world(
+      g, p, faults, [&](const Protocol& world, std::uint64_t) {
+        return partition_for_threads(g, world, opts.engine, opts.threads);
+      });
+  return sweep_fault_tasks(g, p, faults, tasks, classify, opts, on_failure);
 }
 
 namespace {

@@ -406,26 +406,40 @@ struct FaultSweepTotals {
   std::unique_ptr<DistinctAccumulator> distinct;
 };
 
-/// Sweep the executions inside the named (world, prefix) subtrees — one
-/// shard of an exhaustive fault sweep. opts.max_executions bounds the whole
-/// call (BudgetExceededError, deterministically at any thread count);
-/// opts.threads fans each world's prefix list over the pool. Totals are
-/// bit-identical at any thread count for the same task list, and merging
-/// shard totals over a partition equals the unsharded sweep.
+/// Called with every execution whose verdict is not kCorrect; returning
+/// false stops the sweep (the current subtree unwinds and, in parallel
+/// sweeps, sibling tasks and later worlds are cancelled). Invoked
+/// concurrently from sweep workers when opts.threads != 1.
+using FailureCallback =
+    std::function<bool(const ExecutionResult&, FaultVerdict)>;
+
+/// The one loop that visits and tallies exhaustive executions: sweep the
+/// executions inside the named (world, prefix) subtrees — a whole sweep, or
+/// one shard of it. Tasks are grouped by world and worlds swept in ascending
+/// order; within a world the prefixes fan out over opts.threads workers with
+/// one DistinctAccumulator per task. opts.max_executions bounds the whole
+/// call (BudgetExceededError, deterministically at any thread count).
+/// Totals are bit-identical at any thread count for the same task list, and
+/// merging shard totals over a partition equals the unsharded sweep. A
+/// fault-free spec (kind kNone) has exactly world 0, which runs the
+/// unadapted protocol. `on_failure` (may be empty) sees every non-kCorrect
+/// verdict, e.g. to track a counterexample.
 [[nodiscard]] FaultSweepTotals sweep_fault_tasks(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     std::span<const FaultTask> tasks, const FaultClassifier& classify,
-    const ExhaustiveOptions& opts = {});
+    const ExhaustiveOptions& opts = {},
+    const FailureCallback& on_failure = {});
 
-/// Sweep every execution of every fault world in-process: the fault-model
-/// analogue of for_each_execution + count_distinct_final_boards. Worlds are
-/// processed in canonical order; within a world the schedule tree fans out
-/// over opts.threads workers exactly like a fault-free sweep. For a
-/// fault-free spec (crash:0, corrupt:0) the visited execution set, counts,
-/// and distinct accumulation are bit-identical to the unadapted explorer.
+/// Sweep every execution of every fault world in-process: builds the task
+/// list {(w, t) : w a world of `faults`, t in partition_for_threads(world
+/// w's adapted protocol, opts.threads)} and runs sweep_fault_tasks on it.
+/// A fault-free spec (none, crash:0, corrupt with p = 0) visits exactly the
+/// unadapted explorer's execution set, with the same counts and distinct
+/// accumulation; the serial (threads = 1) sweep is the repo's oracle.
 [[nodiscard]] FaultSweepTotals sweep_faulty_executions(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
-    const FaultClassifier& classify, const ExhaustiveOptions& opts = {});
+    const FaultClassifier& classify, const ExhaustiveOptions& opts = {},
+    const FailureCallback& on_failure = {});
 
 // ---------------------------------------------------------------------------
 // Statistical fault sweeps.

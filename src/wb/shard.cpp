@@ -1,8 +1,6 @@
 #include "src/wb/shard.h"
 
-#include <atomic>
 #include <charconv>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -162,24 +160,15 @@ void append_hash_line(std::string& out, const std::string& keyword,
   out.push_back('\n');
 }
 
-/// Version line: `<magic> v<version>`. Accepts min_version ..=
-/// kFormatVersion (min_version > 1 for formats that did not exist in v1)
-/// and returns the version read, so parsers can handle fields that arrived
-/// later.
-int require_version_line(LineParser& lp, const std::string& magic,
-                         int min_version) {
+/// Version line: `<magic> v<kFormatVersion>`; every other version is
+/// rejected.
+void require_version_line(LineParser& lp, const std::string& magic) {
   const std::string version = lp.expect(magic);
-  int value = 0;
-  bool ok = version.size() == 2 && version[0] == 'v' &&
-            version[1] >= '0' && version[1] <= '9';
-  if (ok) {
-    value = version[1] - '0';
-    ok = value >= min_version && value <= kFormatVersion;
-  }
-  WB_REQUIRE_MSG(ok, lp.what() << ": unsupported format version '" << version
-                               << "' (this build reads v" << min_version
-                               << "..v" << kFormatVersion << ")");
-  return value;
+  WB_REQUIRE_MSG(version.starts_with('v') &&
+                     version.substr(1) == std::to_string(kFormatVersion),
+                 lp.what() << ": unsupported format version '" << version
+                           << "' (this build reads v" << kFormatVersion
+                           << ")");
 }
 
 DistinctConfig parse_distinct_field(const LineParser& lp,
@@ -462,7 +451,7 @@ std::string serialize(const ShardSpec& spec) {
 
 ShardSpec parse_shard_spec(const std::string& text) {
   LineParser lp(text, "shard spec");
-  const int version = require_version_line(lp, "wbshard-spec", 1);
+  require_version_line(lp, "wbshard-spec");
   ShardSpec spec;
 
   spec.protocol_spec = lp.expect("protocol");
@@ -494,11 +483,9 @@ ShardSpec parse_shard_spec(const std::string& text) {
   spec.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
 
-  // Optional: v2 documents without a `faults` line are fault-free.
-  if (version >= 2) {
-    if (const auto payload = lp.try_expect("faults")) {
-      spec.faults = parse_fault_field(lp, *payload);
-    }
+  // Optional: documents without a `faults` line are fault-free.
+  if (const auto payload = lp.try_expect("faults")) {
+    spec.faults = parse_fault_field(lp, *payload);
   }
 
   const auto engine_fields = split_fields(lp.expect("engine"));
@@ -515,10 +502,7 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                  << ": record-trace must be 0 or 1");
   spec.engine.record_trace = trace == 1;
 
-  // v1 predates the pluggable distinct accumulator; those sweeps were exact.
-  spec.distinct = version >= 2
-                      ? parse_distinct_field(lp, lp.expect("distinct"))
-                      : DistinctConfig::Exact();
+  spec.distinct = parse_distinct_field(lp, lp.expect("distinct"));
 
   spec.plan = parse_hash_line(lp, "plan", "plan hash");
 
@@ -659,7 +643,7 @@ std::string serialize(const ShardResult& result) {
 
 ShardResult parse_shard_result(const std::string& text) {
   LineParser lp(text, "shard result");
-  const int version = require_version_line(lp, "wbshard-result", 1);
+  require_version_line(lp, "wbshard-result");
   ShardResult result;
 
   result.plan = parse_hash_line(lp, "plan", "plan hash");
@@ -681,11 +665,9 @@ ShardResult parse_shard_result(const std::string& text) {
   result.max_executions =
       parse_u64_field(lp, lp.expect("max-executions"), "max-executions");
 
-  // Optional: v2 documents without a `faults` line are fault-free.
-  if (version >= 2) {
-    if (const auto payload = lp.try_expect("faults")) {
-      result.faults = parse_fault_field(lp, *payload);
-    }
+  // Optional: documents without a `faults` line are fault-free.
+  if (const auto payload = lp.try_expect("faults")) {
+    result.faults = parse_fault_field(lp, *payload);
   }
 
   result.executions =
@@ -719,10 +701,7 @@ ShardResult parse_shard_result(const std::string& text) {
                                         << result.verdict_trials << " trials");
   }
 
-  // v1 predates the pluggable distinct accumulator; those results are exact.
-  result.distinct = version >= 2
-                        ? parse_distinct_field(lp, lp.expect("distinct-kind"))
-                        : DistinctConfig::Exact();
+  result.distinct = parse_distinct_field(lp, lp.expect("distinct-kind"));
 
   if (result.distinct.kind == DistinctKind::kExact) {
     const std::uint64_t distinct =
@@ -762,7 +741,7 @@ std::string serialize(const ShardManifest& manifest) {
 
 ShardManifest parse_shard_manifest(const std::string& text) {
   LineParser lp(text, "shard manifest");
-  (void)require_version_line(lp, "wbshard-manifest", 2);
+  require_version_line(lp, "wbshard-manifest");
   ShardManifest manifest;
   manifest.plan = parse_hash_line(lp, "plan", "plan hash");
   manifest.shard_count = static_cast<std::uint32_t>(
@@ -844,59 +823,18 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
   opts.threads = threads;
   opts.distinct = spec.distinct;
   opts.engine = spec.engine;
-
-  if (spec.faults.kind != FaultKind::kNone) {
-    FaultSweepTotals totals;
-    try {
-      totals = sweep_fault_tasks(spec.graph, p, spec.faults, spec.fault_tasks,
-                                 classify, opts);
-    } catch (const BudgetExceededError&) {
-      out.budget_exceeded = true;
-      out.executions = spec.max_executions;
-      cleared_payload();
-      return out;
-    }
-    out.executions = totals.executions;
-    out.engine_failures = totals.engine_failures;
-    out.wrong_outputs = totals.wrong_outputs;
-    if (totals.distinct == nullptr) {
-      cleared_payload();
-    } else if (spec.distinct.kind == DistinctKind::kExact) {
-      out.board_hashes =
-          static_cast<ExactDistinctAccumulator&>(*totals.distinct)
-              .take_sorted();
-    } else {
-      out.hll = static_cast<HllDistinctAccumulator&>(*totals.distinct)
-                    .take_sketch();
-    }
-    return out;
+  // A fault-free sweep is world 0 of the fault sweep: lift its prefixes.
+  std::vector<FaultTask> lifted;
+  if (spec.faults.kind == FaultKind::kNone) {
+    lifted.reserve(spec.prefixes.size());
+    for (const PrefixTask& t : spec.prefixes) lifted.push_back({0, t});
   }
-
-  std::atomic<std::uint64_t> engine_failures{0};
-  std::atomic<std::uint64_t> wrong_outputs{0};
-  std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  accumulators.reserve(spec.prefixes.size());
-  for (std::size_t t = 0; t < spec.prefixes.size(); ++t) {
-    accumulators.push_back(make_distinct_accumulator(spec.distinct));
-  }
+  FaultSweepTotals totals;
   try {
-    out.executions = for_each_execution_under(
-        spec.graph, p, spec.prefixes,
-        [&](const ExecutionResult& r, std::size_t task) {
-          accumulators[task]->insert(r.board.content_hash());
-          switch (classify(r, {})) {
-            case FaultVerdict::kCorrect:
-              break;
-            case FaultVerdict::kWrongOutput:
-              wrong_outputs.fetch_add(1, std::memory_order_relaxed);
-              break;
-            case FaultVerdict::kDeadlockOrFault:
-              engine_failures.fetch_add(1, std::memory_order_relaxed);
-              break;
-          }
-          return true;
-        },
-        opts);
+    totals = sweep_fault_tasks(
+        spec.graph, p, spec.faults,
+        spec.faults.kind == FaultKind::kNone ? lifted : spec.fault_tasks,
+        classify, opts);
   } catch (const BudgetExceededError&) {
     // Exactly max_executions visits completed before the guard fired; which
     // ones is scheduling-dependent, so every schedule-dependent field is
@@ -907,21 +845,15 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
     cleared_payload();
     return out;
   }
-  out.engine_failures = engine_failures.load(std::memory_order_relaxed);
-  out.wrong_outputs = wrong_outputs.load(std::memory_order_relaxed);
-  if (accumulators.empty()) {
-    cleared_payload();
-    return out;
-  }
-  std::unique_ptr<DistinctAccumulator> total = std::move(accumulators.front());
-  for (std::size_t t = 1; t < accumulators.size(); ++t) {
-    total->merge(std::move(*accumulators[t]));
-  }
+  out.executions = totals.executions;
+  out.engine_failures = totals.engine_failures;
+  out.wrong_outputs = totals.wrong_outputs;
   if (spec.distinct.kind == DistinctKind::kExact) {
     out.board_hashes =
-        static_cast<ExactDistinctAccumulator&>(*total).take_sorted();
+        static_cast<ExactDistinctAccumulator&>(*totals.distinct).take_sorted();
   } else {
-    out.hll = static_cast<HllDistinctAccumulator&>(*total).take_sketch();
+    out.hll =
+        static_cast<HllDistinctAccumulator&>(*totals.distinct).take_sketch();
   }
   return out;
 }

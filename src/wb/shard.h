@@ -18,10 +18,9 @@
 //   merge: K ShardResult files → MergedResult == the serial sweep's totals
 //
 // File formats are versioned, self-describing text ("wbshard-spec v2" /
-// "wbshard-result v2" / "wbshard-manifest v2"); parsers also read the v1
-// spec/result formats (which had no distinct-accumulator field — they parse
-// as exact). Parsers reject malformed, truncated, or version-skewed input
-// with a wb::DataError diagnostic, never undefined behavior, and
+// "wbshard-result v2" / "wbshard-manifest v2"). Parsers reject malformed,
+// truncated, or version-skewed input — v1 documents included — with a
+// wb::DataError diagnostic, never undefined behavior, and
 // serialize→parse→serialize is byte-identical (tests/wb/shard_test.cpp pins
 // golden files under tests/wb/data/).
 //
@@ -63,10 +62,10 @@
 
 namespace wb::shard {
 
-/// Bumped on any change to the text formats below. v2 added the distinct
-/// accumulator field (spec + result), the hll register block, and the
-/// manifest format; v1 spec/result files still parse (as exact). The
-/// failure-model fields (`faults`, `fprefix`, `verdict`) are *optional* v2
+/// Bumped on any change to the text formats below; parsers read exactly
+/// this version. v2 added the distinct accumulator field (spec + result),
+/// the hll register block, and the manifest format. The failure-model
+/// fields (`faults`, `fprefix`, `verdict`) are *optional* v2
 /// lines: fault-free documents serialize without them byte-for-byte as
 /// before, and v2 documents without a fault field parse as fault-free.
 inline constexpr int kFormatVersion = 2;
@@ -220,9 +219,8 @@ struct ShardManifest {
 [[nodiscard]] std::string serialize(const ShardManifest& manifest);
 
 /// Parsers throw wb::DataError with a line-numbered diagnostic on malformed,
-/// truncated, or version-skewed input. Spec and result parsers read v1 and
-/// v2 documents (v1 has no distinct field and parses as exact); manifests
-/// exist only since v2.
+/// truncated, or version-skewed input; every version but kFormatVersion is
+/// "unsupported format version".
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& text);
 [[nodiscard]] ShardResult parse_shard_result(const std::string& text);
 [[nodiscard]] ShardManifest parse_shard_manifest(const std::string& text);
@@ -241,15 +239,14 @@ struct ShardManifest {
     const std::function<bool(const ExecutionResult&)>& accept,
     std::size_t threads = 0);
 
-/// Failure-model-aware shard sweep. Dispatches on spec.faults.kind:
-/// fault-free specs sweep spec.prefixes exactly as the accept overload
-/// (which delegates here with the canonical ok/accept classifier);
-/// crash/corruption specs sweep spec.fault_tasks via sweep_fault_tasks;
-/// adaptive specs run this shard's stride of the trial index space through
-/// run_statistical_verdict and record the verdict tally. The classifier is
-/// consulted for every execution; kWrongOutput tallies into wrong_outputs
-/// and kDeadlockOrFault into engine_failures, so fault-free results are
-/// field-for-field those of the accept overload.
+/// Failure-model-aware shard sweep (the accept overload delegates here with
+/// the canonical ok/accept classifier). Exhaustive specs run through
+/// sweep_fault_tasks — the loop the in-process exhaustive runner uses —
+/// over spec.fault_tasks, or for fault-free specs over spec.prefixes lifted
+/// to world 0; adaptive specs run this shard's stride of the trial index
+/// space through run_statistical_verdict and record the verdict tally. The
+/// classifier is consulted for every execution; kWrongOutput tallies into
+/// wrong_outputs and kDeadlockOrFault into engine_failures.
 [[nodiscard]] ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
                                     const FaultClassifier& classify,
                                     std::size_t threads);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/cli/spec.h"
 #include "src/support/check.h"
+#include "src/support/rng.h"
+#include "tests/cli/report_lines.h"
 
 namespace wb::cli {
 namespace {
@@ -109,29 +113,119 @@ TEST(Runners, CounterexampleEmptyWhenEveryScheduleIsCorrect) {
   EXPECT_NE(r.summary.find("720 executions"), std::string::npos) << r.summary;
 }
 
-TEST(Runners, ShardedSweepReproducesTheExhaustiveReportLines) {
-  // plan / run x3 / merge for a CLI protocol spec: the merged totals must
-  // produce byte-identical "schedules ... / verdict ..." lines to the
-  // threads=1 exhaustive report — which is exactly what the CI smoke job
-  // diffs across real processes.
-  const Graph g = graph_from_spec("twocliques:3");  // 6 nodes, 720 schedules
-  const RunReport serial = run_protocol_spec_exhaustive("two-cliques", g, 1);
-  const auto specs = plan_protocol_spec_shards("two-cliques", g, 3);
-  ASSERT_EQ(specs.size(), 3u);
-  std::vector<shard::ShardResult> results;
-  for (const auto& spec : specs) {
-    // Round-trip every artifact through its text form, as processes would.
-    const auto parsed = shard::parse_shard_spec(shard::serialize(spec));
-    results.push_back(shard::parse_shard_result(
-        shard::serialize(run_protocol_spec_shard(parsed, /*threads=*/2))));
+/// One row of the seeded differential table: a small graph spec (n <= 6)
+/// and a zoo protocol spec that runs on it.
+struct DifferentialRow {
+  std::string graph;
+  std::string protocol;
+};
+
+/// Draws `count` rows from a fixed seed; every fourth row is the
+/// deliberately broken broken-first:V, so failing rows (and counterexamples)
+/// are always present.
+std::vector<DifferentialRow> draw_differential_rows(std::uint64_t seed,
+                                                    std::size_t count) {
+  static constexpr const char* kFamilies[] = {"path", "cycle", "star",
+                                              "complete", "gnp"};
+  static constexpr const char* kProtocols[] = {
+      "build-forest",    "build-degenerate:2",  "build-full",
+      "mis:1",           "two-cliques",         "rand-two-cliques:11",
+      "eob-bfs",         "bipartite-bfs",       "sync-bfs",
+      "subgraph:3",      "triangle-oracle",     "pair-chase",
+      "spanning-forest", "anon-degree",         "square-oracle",
+      "diameter-oracle:2", "connectivity-oracle", "krz-triangle:1/2:2"};
+  Rng rng(seed);
+  std::vector<DifferentialRow> rows;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t n = rng.range(3, 6);
+    const std::string family = kFamilies[rng.below(std::size(kFamilies))];
+    std::string graph = family + ":" + std::to_string(n);
+    if (family == "gnp") graph += ":1/2:" + std::to_string(rng.range(1, 99));
+    const std::string protocol =
+        i % 4 == 3
+            ? "broken-first:" + std::to_string(rng.range(1, n))
+            : std::string(kProtocols[rng.below(std::size(kProtocols))]);
+    rows.push_back({graph, protocol});
   }
-  const shard::MergedResult merged = shard::merge_shard_results(results);
-  EXPECT_EQ(merged.executions, 720u);
-  const std::string lines = exhaustive_summary_lines(
-      merged.executions, merged.engine_failures, merged.wrong_outputs,
-      merged.distinct_boards);
-  EXPECT_NE(serial.summary.find(lines), std::string::npos)
-      << "serial:\n" << serial.summary << "merged lines:\n" << lines;
+  return rows;
+}
+
+/// The `counterexample ...` line of a --counterexample report.
+std::string counterexample_line(const RunReport& r) {
+  const auto begin = r.summary.find("\ncounterexample ");
+  EXPECT_NE(begin, std::string::npos) << r.summary;
+  return r.summary.substr(begin + 1,
+                          r.summary.find('\n', begin + 1) - begin - 1);
+}
+
+TEST(Runners, ShardedSweepReproducesTheExhaustiveReportLines) {
+  // A seeded differential table: on every drawn instance each backend —
+  // threaded, fault-free fault sweeps, memoize, and shard plans at several
+  // K, round-tripped through their text forms and merged in shuffled order —
+  // must print the `schedules`/`verdict` lines of the exhaustive:1 oracle
+  // byte for byte, which is what the CI smoke jobs diff across processes.
+  Rng shuffle_rng(0x5eed);
+  std::size_t failing_rows = 0;
+  for (const DifferentialRow& row : draw_differential_rows(0xd1ff, 24)) {
+    SCOPED_TRACE(row.graph + " " + row.protocol);
+    const Graph g = graph_from_spec(row.graph);
+    ExhaustiveRunOptions opts;
+    opts.threads = 1;
+    const RunReport oracle = run_protocol_spec_exhaustive(row.protocol, g, opts);
+    const std::string want = report_lines(oracle);
+
+    opts.threads = 4;
+    EXPECT_EQ(report_lines(run_protocol_spec_exhaustive(row.protocol, g, opts)),
+              want)
+        << "exhaustive:4";
+    opts.threads = 2;
+    for (const FaultSpec& faults :
+         {FaultSpec::Crash(0), FaultSpec::Corrupt(0, 1)}) {
+      opts.faults = faults;
+      EXPECT_EQ(
+          report_lines(run_protocol_spec_exhaustive(row.protocol, g, opts)),
+          want)
+          << fault_spec_to_string(faults);
+    }
+    ExhaustiveRunOptions memo;
+    memo.threads = 1;
+    memo.memoize = true;
+    EXPECT_EQ(report_lines(run_protocol_spec_exhaustive(row.protocol, g, memo)),
+              want)
+        << "memoize";
+
+    for (const std::size_t k : {1, 3, 7}) {
+      std::vector<shard::ShardResult> results;
+      for (const auto& spec : plan_protocol_spec_shards(row.protocol, g, k)) {
+        // Round-trip every artifact through its text form, as processes would.
+        const auto parsed = shard::parse_shard_spec(shard::serialize(spec));
+        results.push_back(shard::parse_shard_result(
+            shard::serialize(run_protocol_spec_shard(parsed, /*threads=*/2))));
+      }
+      shuffle_rng.shuffle(results);
+      const shard::MergedResult merged = shard::merge_shard_results(results);
+      EXPECT_EQ(exhaustive_summary_lines(
+                    merged.executions, merged.engine_failures,
+                    merged.wrong_outputs, merged.distinct_boards,
+                    merged.distinct),
+                want + "\n")
+          << "shards=" << k;
+    }
+
+    if (oracle.correct) continue;
+    ++failing_rows;
+    ExhaustiveRunOptions cx;
+    cx.counterexample = true;
+    cx.threads = 1;
+    const RunReport serial = run_protocol_spec_exhaustive(row.protocol, g, cx);
+    cx.threads = 4;
+    const RunReport parallel =
+        run_protocol_spec_exhaustive(row.protocol, g, cx);
+    EXPECT_FALSE(serial.counterexample.empty());
+    EXPECT_EQ(serial.counterexample, parallel.counterexample);
+    EXPECT_EQ(counterexample_line(serial), counterexample_line(parallel));
+  }
+  EXPECT_GE(failing_rows, 6u);
 }
 
 TEST(Runners, HllExhaustiveReportMarksTheEstimateAndStaysDeterministic) {

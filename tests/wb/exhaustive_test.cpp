@@ -537,7 +537,6 @@ TEST(MemoizedSweep, MemoizationCollapsesConvergingSchedules) {
   const Graph g = graph_from_spec("star:7");
   const AnonDegreeProtocol p;
   ExhaustiveOptions opts;
-  opts.memoize = true;
   const MemoizedTotals t =
       sweep_memoized(g, p, [](const ExecutionResult&) { return true; }, opts);
   EXPECT_EQ(t.executions, 5040u);

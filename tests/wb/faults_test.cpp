@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <random>
 #include <set>
@@ -295,6 +296,34 @@ TEST(CrashSweep, ShardedCrashSweepMergesBitIdentically) {
     EXPECT_EQ(merged.wrong_outputs, serial.wrong_outputs);
     EXPECT_EQ(merged.distinct_boards, serial.distinct->estimate());
   }
+}
+
+TEST(CrashSweep, OnFailureSeesEveryFailureAndCanStopAcrossWorlds) {
+  // path:4 under <=1 crash with the strict classifier: world 0's 24
+  // executions pass, each crashed world's 6 deadlock.
+  const Graph g = path_graph(4);
+  const testing::EchoIdProtocol p;
+  std::atomic<std::uint64_t> seen{0};
+  ExhaustiveOptions opts;
+  opts.threads = 4;
+  const FaultSweepTotals all = sweep_faulty_executions(
+      g, p, FaultSpec::Crash(1), accept_all, opts,
+      [&](const ExecutionResult&, FaultVerdict v) {
+        EXPECT_EQ(v, FaultVerdict::kDeadlockOrFault);
+        seen.fetch_add(1);
+        return true;
+      });
+  EXPECT_EQ(seen.load(), all.engine_failures);
+  EXPECT_EQ(all.engine_failures, 4 * 6u);
+
+  // Returning false stops the serial sweep at world 1's first execution and
+  // skips the remaining worlds.
+  const FaultSweepTotals stopped = sweep_faulty_executions(
+      g, p, FaultSpec::Crash(1), accept_all, {},
+      [](const ExecutionResult&, FaultVerdict) { return false; });
+  EXPECT_EQ(stopped.worlds, 2u);
+  EXPECT_EQ(stopped.executions, 24u + 1);
+  EXPECT_EQ(stopped.engine_failures, 1u);
 }
 
 TEST(CrashSweep, BudgetIsGlobalAcrossWorlds) {

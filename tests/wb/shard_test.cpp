@@ -9,7 +9,7 @@
 //
 // Golden files under tests/wb/data/ pin the text formats byte-for-byte: the
 // v2 set is what the serializers write today (exact, hll, and manifest); the
-// v1 set is frozen input the parsers must keep reading (as exact).
+// frozen v1 set must be refused as an unsupported version.
 // Malformed/truncated/version-skewed inputs must be rejected with a
 // wb::DataError diagnostic, never undefined behavior.
 #include "src/wb/shard.h"
@@ -561,7 +561,7 @@ TEST(ShardOracle, AcceptExceptionPropagatesOutOfRunShard) {
 
 // ---------------------------------------------------------------------------
 // Golden files: the v2 text formats byte-for-byte, and the frozen v1 inputs
-// the parsers must keep reading.
+// the parsers must refuse.
 
 TEST(ShardGolden, V2SpecFileRoundTripsByteIdentically) {
   const std::string text = data_file("path3_echo_v2.0.shard");
@@ -623,42 +623,22 @@ TEST(ShardGolden, V2ManifestRoundTripsByteIdentically) {
             shard::hash_document(data_file("path3_echo_v2.0.shard")));
 }
 
-TEST(ShardGolden, FrozenV1FilesStillParseAsExact) {
-  // The v1 formats predate the distinct-accumulator field; committed v1
-  // artifacts must keep parsing (as exact) so fleets can read old results.
-  const std::string spec_text = data_file("path3_echo.0.shard");
-  const ShardSpec spec = shard::parse_shard_spec(spec_text);
-  EXPECT_EQ(spec.distinct, DistinctConfig::Exact());
-  EXPECT_EQ(spec.protocol_spec, "echo-id");
-  EXPECT_EQ(spec.prefixes.size(), 3u);
-
-  const std::string result_text = data_file("path3_echo.0.result");
-  const ShardResult result = shard::parse_shard_result(result_text);
-  EXPECT_EQ(result.distinct, DistinctConfig::Exact());
-  EXPECT_EQ(result.executions, 3u);
-  EXPECT_EQ(result.board_hashes.size(), 3u);
-
-  // Re-serialization upgrades a v1 document to v2 with only the version
-  // bump and the (default) distinct field added — every other byte is
-  // preserved, including the recorded v1 plan fingerprint.
-  std::string upgraded_spec = spec_text;
-  upgraded_spec.replace(upgraded_spec.find("wbshard-spec v1"),
-                        15, "wbshard-spec v2");
-  upgraded_spec.insert(upgraded_spec.find("plan "), "distinct exact\n");
-  EXPECT_EQ(shard::serialize(spec), upgraded_spec);
-
-  std::string upgraded_result = result_text;
-  upgraded_result.replace(upgraded_result.find("wbshard-result v1"),
-                          17, "wbshard-result v2");
-  upgraded_result.insert(upgraded_result.find("distinct "),
-                         "distinct-kind exact\n");
-  EXPECT_EQ(shard::serialize(result), upgraded_result);
-
-  // Results of one (old) plan still merge with each other.
-  std::vector<ShardResult> halves = {result, result};
-  halves[1].shard_index = 1;
-  const MergedResult merged = shard::merge_shard_results(halves);
-  EXPECT_EQ(merged.executions, 6u);
+TEST(ShardGolden, FrozenV1FilesAreRejectedAsAnUnsupportedVersion) {
+  // No in-tree code writes v1; its spec/result documents get the typed
+  // version refusal, never a silent parse.
+  const auto expect_refused = [](const auto& parse, const char* name) {
+    try {
+      (void)parse(data_file(name));
+      ADD_FAILURE() << name << " parsed";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unsupported format version 'v1' (this build reads v2)"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
+  };
+  expect_refused(shard::parse_shard_spec, "path3_echo.0.shard");
+  expect_refused(shard::parse_shard_result, "path3_echo.0.result");
 }
 
 TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
