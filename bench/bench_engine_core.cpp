@@ -38,7 +38,9 @@
 //                                implementations on synthetic key streams,
 //                                with a `peak_bytes` counter contrasting the
 //                                two memory models (16 B per distinct key
-//                                vs 2^p registers, flat);
+//                                vs 2^p registers, flat); the 90 x 40,320
+//                                exact merge row is perfbench's sweep_exact
+//                                fold (`distinct.merge_s`);
 //  - BM_FrameRoundTrip         — the fleet wire layer: encode + byte-chunked
 //                                decode of spec-sized frames, pinning the
 //                                framing overhead the controller pays per
@@ -324,35 +326,40 @@ BENCHMARK(BM_DistinctInsert)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DistinctMerge(benchmark::State& state) {
-  // 16 per-task accumulators of 64k distinct keys each (the explorer's
-  // per-subtree shape), folded left like the sweep's final merge.
+  // `parts` per-task accumulators of `keys` distinct keys each (the
+  // explorer's per-subtree shape), folded left like the sweep's final merge
+  // and then counted. The 90 x 40,320 exact row is the sweep_exact fold:
+  // twocliques:5 on 4 threads, 90 subtree tasks of 8! executions each, all
+  // boards distinct.
   const DistinctConfig config = bench_config(state.range(0));
-  constexpr std::size_t kParts = 16;
-  constexpr std::uint64_t kKeysPerPart = 1 << 16;
+  const auto parts_count = static_cast<std::size_t>(state.range(1));
+  const auto keys_per_part = static_cast<std::uint64_t>(state.range(2));
   std::uint64_t merged_keys = 0;
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<std::unique_ptr<DistinctAccumulator>> parts;
-    for (std::size_t k = 0; k < kParts; ++k) {
+    for (std::size_t k = 0; k < parts_count; ++k) {
       parts.push_back(make_distinct_accumulator(config));
-      for (std::uint64_t i = 0; i < kKeysPerPart; ++i) {
-        parts[k]->insert(bench_key(k * kKeysPerPart + i));
+      for (std::uint64_t i = 0; i < keys_per_part; ++i) {
+        parts[k]->insert(bench_key(k * keys_per_part + i));
       }
     }
     state.ResumeTiming();
     std::unique_ptr<DistinctAccumulator> total = std::move(parts.front());
-    for (std::size_t k = 1; k < kParts; ++k) {
+    for (std::size_t k = 1; k < parts_count; ++k) {
       total->merge(std::move(*parts[k]));
     }
     const std::uint64_t distinct = total->estimate();
     benchmark::DoNotOptimize(distinct);
-    merged_keys += kParts * kKeysPerPart;
+    merged_keys += parts_count * keys_per_part;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(merged_keys));
 }
 BENCHMARK(BM_DistinctMerge)
-    ->Arg(kExactKind)
-    ->Arg(kHllKind)
+    ->ArgNames({"kind", "parts", "keys"})
+    ->Args({kExactKind, 16, 1 << 16})
+    ->Args({kHllKind, 16, 1 << 16})
+    ->Args({kExactKind, 90, 40'320})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FrameRoundTrip(benchmark::State& state) {

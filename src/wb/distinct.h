@@ -7,7 +7,10 @@
 //
 //  - exact: 128-bit board hashes deduplicated into sorted unique runs,
 //    merged by set union. The count is exact; peak memory is O(distinct)
-//    16-byte keys — the right default up to ~10^9 distinct boards.
+//    16-byte keys — the right default up to ~10^9 distinct boards. merge()
+//    is an O(1) move of the other accumulator's pending keys; the union is
+//    one k-way merge over every pending run, done once, when the count or
+//    the keys are asked for.
 //  - hll: a HyperLogLog sketch (src/support/hll.h). The count is an estimate
 //    with relative standard error 1.04/sqrt(2^p); memory is a flat 2^p bytes
 //    per accumulator regardless of cardinality — the only option past the
@@ -28,12 +31,17 @@
 // one accumulator per subtree task — exclusive to its worker, so inserts
 // need no locking — folded with merge() afterwards. sweep_memoized keeps a
 // single accumulator, since its walk is serial.
+//
+// The exact fold runs serially on the calling thread, never on the shared
+// worker pool: fleet workers are forked from a parent whose pool threads
+// already exist, and a forked child inherits none of them, so a fold that
+// waited on the pool there would never finish.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,50 +86,14 @@ struct DistinctConfig {
 /// Canonical text form: "exact" or "hll:P". parse(to_string(c)) == c.
 [[nodiscard]] std::string to_string(const DistinctConfig& config);
 
-/// Streaming distinct-key accumulator: appends are buffered, and every
-/// kFlushLimit keys the buffer is folded into a sorted unique run via
-/// set-union. Peak memory is O(distinct + kFlushLimit) instead of the
-/// O(executions) a collect-then-sort pays. This is the storage engine of the
-/// exact DistinctAccumulator below (and usable directly when the caller
-/// needs the keys themselves, as the shard result files do).
-class StreamingDistinct {
- public:
-  void add(const Hash128& key) {
-    buffer_.push_back(key);
-    if (buffer_.size() >= kFlushLimit) flush();
-  }
-
-  /// Sorted unique keys seen so far; the accumulator is left empty.
-  [[nodiscard]] std::vector<Hash128> take_sorted() {
-    flush();
-    return std::move(run_);
-  }
-
- private:
-  static constexpr std::size_t kFlushLimit = std::size_t{1} << 16;  // 1 MiB
-
-  void flush() {
-    if (buffer_.empty()) return;
-    std::sort(buffer_.begin(), buffer_.end());
-    buffer_.erase(std::unique(buffer_.begin(), buffer_.end()), buffer_.end());
-    std::vector<Hash128> merged;
-    merged.reserve(run_.size() + buffer_.size());
-    std::set_union(run_.begin(), run_.end(), buffer_.begin(), buffer_.end(),
-                   std::back_inserter(merged));
-    run_ = std::move(merged);
-    buffer_.clear();
-  }
-
-  std::vector<Hash128> buffer_;
-  std::vector<Hash128> run_;  // sorted, unique
-};
-
-/// Union of sorted unique runs into one sorted unique run. Set union is
-/// order-oblivious, so the result — and every count derived from it — is
-/// identical for any ordering or grouping of the inputs; this is the merge
-/// step shared by the parallel distinct-board count and the shard layer.
+/// Union of sorted unique runs into one sorted unique run: a single k-way
+/// merge (a loser tree over the runs) that drops duplicates as it goes, so
+/// every output key is written once, into one allocation, in O(N log k).
+/// Set union is order-oblivious, so the result — and every count derived
+/// from it — is identical for any ordering or grouping of the inputs; this
+/// is the one fold shared by the exact accumulator and the shard merge.
 [[nodiscard]] std::vector<Hash128> union_sorted_runs(
-    std::vector<std::vector<Hash128>> runs);
+    std::span<const std::span<const Hash128>> runs);
 
 /// The mergeable accumulator surface. Implementations must make estimate()
 /// a function of the inserted key SET only (see the file comment); merge()
@@ -137,8 +109,15 @@ class DistinctAccumulator {
   [[nodiscard]] virtual std::uint64_t estimate() = 0;
 };
 
-/// Exact counting behind the accumulator surface: StreamingDistinct runs
-/// merged by sorted-run union — bit-identical to the pre-API explorer.
+/// Exact counting behind the accumulator surface. Inserts go to an unsorted
+/// buffer; every kFlushLimit keys the buffer is sorted, deduplicated and
+/// parked as a pending run. Pending runs are folded into the consolidated
+/// run by union_sorted_runs only once they hold more keys than it does — a
+/// geometric trigger that keeps N inserts at O(distinct + kFlushLimit)
+/// memory and O(N log N) copying. merge() moves the other accumulator's
+/// buffers and runs into this one's pending lists without sorting or
+/// copying a key; estimate() and take_sorted() then fold everything in one
+/// k-way merge.
 class ExactDistinctAccumulator final : public DistinctAccumulator {
  public:
   ExactDistinctAccumulator() = default;
@@ -149,10 +128,14 @@ class ExactDistinctAccumulator final : public DistinctAccumulator {
   [[nodiscard]] DistinctConfig config() const override {
     return DistinctConfig::Exact();
   }
-  void insert(const Hash128& key) override { streaming_.add(key); }
+  void insert(const Hash128& key) override {
+    buffer_.push_back(key);
+    if (buffer_.size() >= kFlushLimit) flush();
+  }
   void merge(DistinctAccumulator&& other) override;
   [[nodiscard]] std::uint64_t estimate() override {
-    return static_cast<std::uint64_t>(sorted_view().size());
+    fold();
+    return static_cast<std::uint64_t>(run_.size());
   }
 
   /// Sorted unique keys accumulated so far; the accumulator is left empty.
@@ -160,10 +143,19 @@ class ExactDistinctAccumulator final : public DistinctAccumulator {
   [[nodiscard]] std::vector<Hash128> take_sorted();
 
  private:
-  [[nodiscard]] const std::vector<Hash128>& sorted_view();
+  static constexpr std::size_t kFlushLimit = std::size_t{1} << 16;  // 1 MiB
 
-  StreamingDistinct streaming_;
-  std::vector<Hash128> run_;  // sorted unique, folded on demand
+  /// Park the sorted unique buffer as a pending run; fold once the pending
+  /// runs outgrow the consolidated run.
+  void flush();
+  /// Fold every pending key into run_.
+  void fold();
+
+  std::vector<Hash128> buffer_;                 // unsorted inserts
+  std::vector<std::vector<Hash128>> unsorted_;  // buffers adopted by merge()
+  std::vector<std::vector<Hash128>> runs_;      // sorted unique, pending
+  std::size_t pending_keys_ = 0;                // keys held in runs_
+  std::vector<Hash128> run_;                    // sorted unique, consolidated
 };
 
 /// Approximate counting: one HyperLogLog sketch, register-wise max merge.

@@ -866,7 +866,7 @@ MergedResult merge_shard_results(std::span<const ShardResult> results) {
   merged.distinct = first.distinct;
   merged.faults = first.faults;
   std::vector<bool> seen(first.shard_count, false);
-  std::vector<std::vector<Hash128>> runs;
+  std::vector<std::span<const Hash128>> runs;
   runs.reserve(results.size());
   std::optional<HyperLogLog> sketch;
   bool exceeded = false;
@@ -928,7 +928,7 @@ MergedResult merge_shard_results(std::span<const ShardResult> results) {
   }
   if (first.distinct.kind == DistinctKind::kExact) {
     merged.distinct_boards =
-        static_cast<std::uint64_t>(union_sorted_runs(std::move(runs)).size());
+        static_cast<std::uint64_t>(union_sorted_runs(runs).size());
   } else {
     merged.distinct_boards = sketch.has_value() ? sketch->estimate() : 0;
   }
