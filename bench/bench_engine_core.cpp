@@ -66,6 +66,7 @@
 #include "src/wb/distinct.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace {
 

@@ -21,6 +21,7 @@
 #include "src/support/bits.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace wb {
 namespace {

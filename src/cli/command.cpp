@@ -4,8 +4,15 @@
 #include <cstdio>
 
 #include "src/support/check.h"
+#include "src/wb/exhaustive.h"
 
 namespace wb::cli {
+
+std::string budget_refusal(std::uint64_t max_executions) {
+  return "refused: the sweep needs more than budget=" +
+         std::to_string(max_executions) +
+         " executions — raise budget=N to sweep it";
+}
 
 CommandRegistry::CommandRegistry(std::string program)
     : program_(std::move(program)) {}
@@ -91,6 +98,9 @@ int CommandRegistry::main(int argc, char** argv) const {
   } catch (const DataError& e) {
     std::printf("error: %s\n", e.what());
     return kExitUsage;
+  } catch (const BudgetExceededError& e) {
+    std::printf("%s\n", budget_refusal(e.max_executions()).c_str());
+    return kExitBudget;
   } catch (const LogicError& e) {
     std::printf("internal error: %s\n", e.what());
     return kExitBug;

@@ -10,11 +10,14 @@
 //   1  the run completed but something FAILed (wrong output, missing shard)
 //   2  bad input — malformed spec/file/flags (wb::DataError)
 //   3  a bug in wbsim itself (wb::LogicError)
+//   4  refused: the sweep needs more executions than its `budget=` allows
+//      (wb::BudgetExceededError) — no verdict, and not a bug
 //
-// Handlers signal 2/3 by throwing; CommandRegistry::main catches at the top
-// and maps to the exit code, so no handler hand-rolls error printing.
+// Handlers signal 2/3/4 by throwing; CommandRegistry::main catches at the
+// top and maps to the exit code, so no handler hand-rolls error printing.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -26,6 +29,11 @@ inline constexpr int kExitPass = 0;
 inline constexpr int kExitFail = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitBug = 3;
+inline constexpr int kExitBudget = 4;
+
+/// The one line a budget refusal prints, whichever path swept (in-process,
+/// memoize, shards=K, shard-merge, fleet run).
+[[nodiscard]] std::string budget_refusal(std::uint64_t max_executions);
 
 struct Command {
   /// Subcommand token ("shard-plan"). Must be unique in a registry.
@@ -67,7 +75,8 @@ class CommandRegistry {
   [[nodiscard]] int dispatch(const std::vector<std::string>& args) const;
 
   /// dispatch() plus the top-level exception mapping: DataError prints
-  /// `error: ...` and returns kExitUsage, LogicError prints
+  /// `error: ...` and returns kExitUsage, BudgetExceededError prints
+  /// budget_refusal() and returns kExitBudget, any other LogicError prints
   /// `internal error: ...` and returns kExitBug.
   [[nodiscard]] int main(int argc, char** argv) const;
 

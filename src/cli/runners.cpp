@@ -94,40 +94,33 @@ void describe_run(std::ostringstream& os, const Graph& g, const Protocol& p,
      << "\n";
 }
 
-/// The counts every sweep backend answers, whatever totals type it returns.
-struct SweepTotals {
-  std::uint64_t executions = 0;
-  std::uint64_t engine_failures = 0;
-  std::uint64_t wrong_outputs = 0;
-  std::uint64_t distinct = 0;
-};
-
 /// The report of a sweep: the header, then the `schedules`/`verdict` lines
 /// CI diffs across backends. `detail` follows the adversary name on its
-/// line. A statistical sweep passes its `sampled` verdict tally, which
-/// replaces the exhaustive lines (executions are then sampled trials).
+/// line. A statistical sweep (t.sampled set) reports its verdict tally in
+/// place of the exhaustive lines and `distinct_boards`.
 RunReport sweep_report(const Graph& g, const Protocol& p,
                        std::string adversary, const std::string& detail,
-                       const SweepTotals& t, const DistinctConfig& distinct,
-                       const VerdictAccumulator* sampled = nullptr) {
+                       const SweepTotals& t, std::uint64_t distinct_boards,
+                       const DistinctConfig& distinct) {
   RunReport report;
   report.executed = true;
   report.adversary = std::move(adversary);
   report.executions = t.executions;
   report.engine_failures = t.engine_failures;
   report.wrong_outputs = t.wrong_outputs;
+  report.fault_worlds = t.worlds;
   report.correct = t.engine_failures + t.wrong_outputs == 0;
   report.status = t.engine_failures == 0 ? "success" : "mixed";
   std::ostringstream os;
   write_header(os, g, p, report.adversary + detail);
-  if (sampled != nullptr) {
+  if (t.sampled.has_value()) {
     report.statistical = true;
-    report.verdict_trials = sampled->trials();
-    report.verdict_failures = sampled->failures();
-    os << statistical_summary_lines(*sampled);
+    report.verdict_trials = t.sampled->trials();
+    report.verdict_failures = t.sampled->failures();
+    os << statistical_summary_lines(*t.sampled);
   } else {
     os << exhaustive_summary_lines(t.executions, t.engine_failures,
-                                   t.wrong_outputs, t.distinct, distinct);
+                                   t.wrong_outputs, distinct_boards, distinct);
   }
   report.summary = os.str();
   return report;
@@ -220,16 +213,17 @@ std::vector<RunReport> run_exhaustive_memoized(const P& protocol,
       },
       opts);
 
-  RunReport report = sweep_report(
+  SweepTotals sweep;
+  sweep.worlds = 1;
+  sweep.executions = totals.executions;
+  sweep.engine_failures = totals.engine_failures;
+  sweep.wrong_outputs = totals.wrong_outputs;
+  return {sweep_report(
       g, protocol, "exhaustive(threads=1, memoize)",
       " — " + std::to_string(totals.states_explored) + " states, " +
           std::to_string(totals.memo_hits) + " memo hits, " +
           std::to_string(totals.terminals_visited) + " terminals visited",
-      {totals.executions, totals.engine_failures, totals.wrong_outputs,
-       totals.distinct},
-      ropts.distinct);
-  report.fault_worlds = 1;
-  return {std::move(report)};
+      sweep, totals.distinct, ropts.distinct)};
 }
 
 /// Exhaustive plan: one report aggregating every adversary schedule of
@@ -259,16 +253,12 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
     sopts.trials = adaptive ? ropts.faults.trials : ropts.statistical_trials;
     sopts.seed = ropts.faults.seed;
     sopts.threads = ropts.threads;
-    const StatisticalTotals totals =
-        run_statistical_verdict(g, protocol, ropts.faults, classify, sopts);
     return {sweep_report(
         g, protocol,
         std::string(adaptive ? "adaptive" : "statistical") + "(" + threads +
             faults + ")",
-        "",
-        {totals.verdict.trials(), totals.engine_failures, totals.wrong_outputs,
-         0},
-        ropts.distinct, &totals.verdict)};
+        "", run_statistical_verdict(g, protocol, ropts.faults, classify, sopts),
+        0, ropts.distinct)};
   }
   ExhaustiveOptions opts;
   opts.threads = ropts.threads;
@@ -284,16 +274,13 @@ std::vector<RunReport> run_exhaustive(const P& protocol, const Graph& g,
       return !stop_at_first_failure;
     };
   }
-  const FaultSweepTotals totals = sweep_faulty_executions(
+  const SweepTotals totals = sweep_faulty_executions(
       g, protocol, ropts.faults, classify, opts, on_failure);
   const bool fault_free = ropts.faults.kind == FaultKind::kNone;
   RunReport report = sweep_report(
       g, protocol, "exhaustive(" + threads + (fault_free ? "" : faults) + ")",
       fault_free ? "" : " — " + std::to_string(totals.worlds) + " fault worlds",
-      {totals.executions, totals.engine_failures, totals.wrong_outputs,
-       totals.distinct->estimate()},
-      ropts.distinct);
-  report.fault_worlds = totals.worlds;
+      totals, totals.distinct->estimate(), ropts.distinct);
   if (ropts.counterexample) {
     std::ostringstream os;
     if (cx.found) {

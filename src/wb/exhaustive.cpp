@@ -121,59 +121,6 @@ std::size_t resolve_threads(std::size_t requested) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-/// Sweep exactly the subtrees of `tasks`, serially or over the shared pool.
-/// visit(result, task_index) must be safe to call concurrently for
-/// *different* task indices (a single task is always processed by one
-/// worker). The visited set, the shared count, and whether the budget guard
-/// fires are identical for any thread count; only the inter-task visit
-/// order varies.
-template <typename Visit>
-void sweep_tasks(const Graph& g, const Protocol& p,
-                 const ExhaustiveOptions& opts,
-                 std::span<const PrefixTask> tasks, ExploreControl& ctl,
-                 const Visit& visit) {
-  const std::size_t threads = resolve_threads(opts.threads);
-  if (threads > 1 && tasks.size() > 1) {
-    ThreadPool::shared().parallel_for(
-        tasks.size(),
-        [&](std::size_t t) {
-          if (ctl.stop.load(std::memory_order_relaxed)) return;
-          auto task_visit = [&visit, t](const ExecutionResult& r) {
-            return visit(r, t);
-          };
-          Backtracker<decltype(task_visit)> bt(g, p, opts.engine, ctl,
-                                               task_visit);
-          bt.run(tasks[t].prefix());
-        },
-        threads);
-    return;
-  }
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (ctl.stop.load(std::memory_order_relaxed)) break;
-    auto task_visit = [&visit, t](const ExecutionResult& r) {
-      return visit(r, t);
-    };
-    Backtracker<decltype(task_visit)> bt(g, p, opts.engine, ctl, task_visit);
-    bt.run(tasks[t].prefix());
-  }
-}
-
-/// The full-sweep driver behind the classic entry points.
-/// prepare(task_count) runs before any visit; visit(result, task) as in
-/// sweep_tasks.
-template <typename Prepare, typename Visit>
-std::uint64_t explore_all(const Graph& g, const Protocol& p,
-                          const ExhaustiveOptions& opts,
-                          const Prepare& prepare, const Visit& visit) {
-  ExploreControl ctl;
-  ctl.budget = opts.max_executions;
-  const std::vector<PrefixTask> tasks =
-      partition_for_threads(g, p, opts.engine, opts.threads);
-  prepare(tasks.size());
-  sweep_tasks(g, p, opts, tasks, ctl, visit);
-  return ctl.visited.load(std::memory_order_relaxed);
-}
-
 }  // namespace
 
 std::vector<PrefixTask> partition_for_threads(const Graph& g,
@@ -229,41 +176,37 @@ std::uint64_t for_each_execution(
     const Graph& g, const Protocol& p,
     const std::function<bool(const ExecutionResult&)>& visit,
     const ExhaustiveOptions& opts) {
-  return explore_all(
-      g, p, opts, [](std::size_t) {},
-      [&visit](const ExecutionResult& r, std::size_t) { return visit(r); });
+  return for_each_execution_under(
+      g, p, partition_for_threads(g, p, opts.engine, opts.threads),
+      [&visit](const ExecutionResult& r, std::size_t) { return visit(r); },
+      opts);
 }
 
 std::uint64_t for_each_execution_under(
     const Graph& g, const Protocol& p, std::span<const PrefixTask> tasks,
     const std::function<bool(const ExecutionResult&, std::size_t)>& visit,
     const ExhaustiveOptions& opts) {
+  // visit(result, t) runs concurrently only for *different* task indices (a
+  // single task is always processed by one worker). The visited set, the
+  // shared count, and whether the budget guard fires are identical for any
+  // thread count; only the inter-task visit order varies.
   ExploreControl ctl;
   ctl.budget = opts.max_executions;
-  sweep_tasks(g, p, opts, tasks, ctl,
-              [&visit](const ExecutionResult& r, std::size_t t) {
-                return visit(r, t);
-              });
+  const auto sweep_task = [&](std::size_t t) {
+    if (ctl.stop.load(std::memory_order_relaxed)) return;
+    auto task_visit = [&visit, t](const ExecutionResult& r) {
+      return visit(r, t);
+    };
+    Backtracker<decltype(task_visit)> bt(g, p, opts.engine, ctl, task_visit);
+    bt.run(tasks[t].prefix());
+  };
+  const std::size_t threads = resolve_threads(opts.threads);
+  if (threads > 1 && tasks.size() > 1) {
+    ThreadPool::shared().parallel_for(tasks.size(), sweep_task, threads);
+  } else {
+    for (std::size_t t = 0; t < tasks.size(); ++t) sweep_task(t);
+  }
   return ctl.visited.load(std::memory_order_relaxed);
-}
-
-bool all_executions_ok(
-    const Graph& g, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& accept,
-    const ExhaustiveOptions& opts) {
-  std::atomic<bool> ok{true};
-  explore_all(
-      g, p, opts, [](std::size_t) {},
-      [&](const ExecutionResult& r, std::size_t) {
-        if (!r.ok() || !accept(r)) {
-          // Returning false sets the shared stop flag, so sibling subtrees
-          // cancel at their next poll; the verdict itself cannot flip back.
-          ok.store(false, std::memory_order_relaxed);
-          return false;
-        }
-        return true;
-      });
-  return ok.load(std::memory_order_relaxed);
 }
 
 MemoizedTotals sweep_memoized(
@@ -356,33 +299,6 @@ MemoizedTotals sweep_memoized(
   totals.wrong_outputs = root.wrong_outputs;
   totals.distinct = distinct->estimate();
   return totals;
-}
-
-std::uint64_t count_distinct_final_boards(const Graph& g, const Protocol& p,
-                                          const ExhaustiveOptions& opts) {
-  // Word-wise 128-bit keys through the configured accumulator: one per
-  // subtree task (exclusive to its worker, so no locking), folded afterwards
-  // by the accumulator's order-oblivious merge — identical counts at any
-  // thread count for exact (set union) and hll (register max) alike.
-  std::vector<std::unique_ptr<DistinctAccumulator>> accumulators;
-  explore_all(
-      g, p, opts,
-      [&](std::size_t task_count) {
-        accumulators.reserve(task_count);
-        for (std::size_t t = 0; t < task_count; ++t) {
-          accumulators.push_back(make_distinct_accumulator(opts.distinct));
-        }
-      },
-      [&](const ExecutionResult& r, std::size_t task) {
-        accumulators[task]->insert(r.board.content_hash());
-        return true;
-      });
-  if (accumulators.empty()) return 0;
-  std::unique_ptr<DistinctAccumulator> total = std::move(accumulators.front());
-  for (std::size_t t = 1; t < accumulators.size(); ++t) {
-    total->merge(std::move(*accumulators[t]));
-  }
-  return total->estimate();
 }
 
 }  // namespace wb

@@ -20,10 +20,13 @@
 // inter-task visit order varies. threads == 1 is the serial reference path
 // the tests oracle against.
 //
-// Distributed exploration (src/wb/shard.h) builds on the same partition: the
-// PrefixTask list is public, and for_each_execution_under sweeps an
-// arbitrary subset of subtree tasks, so shards of one sweep can run in
-// different processes (or on different hosts) and be merged afterwards.
+// for_each_execution_under is the one explorer loop: it sweeps any list
+// of subtree tasks, so a whole sweep, one shard of it (src/wb/shard.h, run
+// in another process or on another host and merged afterwards), and each
+// fault world of a fault sweep all run the same loop. The tallying layer
+// above it — verdicts, distinct boards, the SweepTotals every sweep returns
+// — is sweep_fault_tasks in src/wb/faults.h, where all_executions_ok and
+// count_distinct_final_boards live as thin wrappers.
 //
 // This is the strongest evidence our simulator can produce for the "yes"
 // cells of Table 2, and the machinery behind the minimax searches in the
@@ -52,11 +55,11 @@ struct ExhaustiveOptions {
   /// Subtree-sweep workers: 1 (default) = the serial reference path; 0 = one
   /// worker per hardware thread; k = at most k workers. With any value other
   /// than 1 the visitor may be invoked concurrently from pool workers and
-  /// must be thread-safe (the library's own aggregators below already are).
+  /// must be thread-safe (the aggregators of src/wb/faults.h already are).
   std::size_t threads = 1;
-  /// Distinct-board accumulator for count_distinct_final_boards (and every
-  /// layer above it): exact sorted-run dedup, or a HyperLogLog sketch whose
-  /// memory is flat in the cardinality. See src/wb/distinct.h.
+  /// Distinct-board accumulator of the sweeps built on this explorer
+  /// (src/wb/faults.h): exact sorted-run dedup, or a HyperLogLog sketch
+  /// whose memory is flat in the cardinality. See src/wb/distinct.h.
   DistinctConfig distinct{};
   /// Read by no sweep: memoization is selected by calling sweep_memoized.
   /// Kept only because perfbench/round.cpp still sets it; delete both
@@ -118,10 +121,11 @@ struct PrefixTask {
     const Graph& g, const Protocol& p, const EngineOptions& eopts,
     std::size_t threads);
 
-/// Visit every maximal execution of `p` on `g`. The visitor may return false
-/// to stop early (e.g. after the first counterexample); the current subtree
-/// unwinds and — in parallel runs — sibling subtree tasks are cancelled at
-/// their next poll.
+/// Visit every maximal execution of `p` on `g`: for_each_execution_under
+/// over partition_for_threads(g, p, opts.engine, opts.threads). The visitor
+/// may return false to stop early (e.g. after the first counterexample); the
+/// current subtree unwinds and — in parallel runs — sibling subtree tasks
+/// are cancelled at their next poll.
 /// Returns the number of executions visited, which is exactly the number of
 /// visitor invocations: bit-identical at every thread count for a full
 /// sweep; under an early stop it is exact but (with threads != 1)
@@ -132,25 +136,17 @@ std::uint64_t for_each_execution(
     const std::function<bool(const ExecutionResult&)>& visit,
     const ExhaustiveOptions& opts = {});
 
-/// Visit every maximal execution inside the subtrees named by `tasks` (one
-/// shard of a sweep whose full task list came from partition_executions).
-/// The visitor receives the index of the task the execution belongs to, so
-/// per-task aggregation needs no locking (a single task is always processed
-/// by one worker). Budget, early stop, and the returned count behave exactly
-/// as in for_each_execution; with tasks covering the whole tree the visited
-/// set and total are bit-identical to it at any thread count.
+/// The one explorer loop: visit every maximal execution inside the
+/// subtrees named by `tasks` (a whole sweep's partition, or one shard of
+/// it), serially or fanned out over opts.threads pool workers. The visitor
+/// receives the index of the task the execution belongs to, so per-task
+/// aggregation needs no locking (a single task is always processed by one
+/// worker). Budget, early stop, and the returned count behave as in
+/// for_each_execution; with tasks covering the whole tree the visited set
+/// and total are bit-identical at any thread count.
 std::uint64_t for_each_execution_under(
     const Graph& g, const Protocol& p, std::span<const PrefixTask> tasks,
     const std::function<bool(const ExecutionResult&, std::size_t)>& visit,
-    const ExhaustiveOptions& opts = {});
-
-/// True iff every execution is successful and `accept(result)` holds for all
-/// of them. Stops at the first violation and cancels sibling subtrees; the
-/// verdict is deterministic at any thread count. `accept` must be
-/// thread-safe when opts.threads != 1.
-[[nodiscard]] bool all_executions_ok(
-    const Graph& g, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& accept,
     const ExhaustiveOptions& opts = {});
 
 /// Aggregates of one memoized sweep. The first four are pinned bit-identical
@@ -181,19 +177,5 @@ struct MemoizedTotals {
     const Graph& g, const Protocol& p,
     const std::function<bool(const ExecutionResult&)>& judge,
     const ExhaustiveOptions& opts = {});
-
-/// Count distinct final whiteboards over all executions (by content, keyed
-/// by a word-wise 128-bit hash — see src/support/hash.h), through the
-/// accumulator opts.distinct selects (src/wb/distinct.h): exact sorted-run
-/// dedup by default — peak memory O(distinct boards), not O(executions) —
-/// or a HyperLogLog estimate whose memory is flat in the cardinality, for
-/// sweeps past the exact mode's ~10^9-distinct memory wall. Either way one
-/// accumulator per subtree task is folded by an order-oblivious merge, so
-/// the result is bit-identical at any thread count.
-/// Diagnostic for order-oblivious protocols: a SIMASYNC whiteboard is a
-/// permutation of one fixed message multiset, so decoders must not depend on
-/// order; this reports how much the adversary can vary the board.
-[[nodiscard]] std::uint64_t count_distinct_final_boards(
-    const Graph& g, const Protocol& p, const ExhaustiveOptions& opts = {});
 
 }  // namespace wb

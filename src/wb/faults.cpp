@@ -401,12 +401,22 @@ std::vector<FaultTask> partition_fault_tasks(const Graph& g, const Protocol& p,
       });
 }
 
-FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
-                                   const FaultSpec& faults,
-                                   std::span<const FaultTask> tasks,
-                                   const FaultClassifier& classify,
-                                   const ExhaustiveOptions& opts,
-                                   const FailureCallback& on_failure) {
+FaultClassifier accept_classifier(
+    std::function<bool(const ExecutionResult&)> accept) {
+  return [accept = std::move(accept)](const ExecutionResult& r,
+                                      std::span<const NodeId>) {
+    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
+    if (accept != nullptr && !accept(r)) return FaultVerdict::kWrongOutput;
+    return FaultVerdict::kCorrect;
+  };
+}
+
+SweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
+                              const FaultSpec& faults,
+                              std::span<const FaultTask> tasks,
+                              const FaultClassifier& classify,
+                              const ExhaustiveOptions& opts,
+                              const FailureCallback& on_failure) {
   WB_CHECK_MSG(faults.kind != FaultKind::kAdaptive,
                "adaptive faults sweep statistically — use "
                "run_statistical_verdict");
@@ -414,7 +424,7 @@ FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
   for (const FaultTask& t : tasks) {
     by_world[t.world].push_back(t.prefix);
   }
-  FaultSweepTotals totals;
+  SweepTotals totals;
   totals.distinct = make_distinct_accumulator(opts.distinct);
   std::uint64_t remaining = opts.max_executions;
   std::atomic<std::uint64_t> engine_failures{0};
@@ -470,16 +480,37 @@ FaultSweepTotals sweep_fault_tasks(const Graph& g, const Protocol& p,
   return totals;
 }
 
-FaultSweepTotals sweep_faulty_executions(const Graph& g, const Protocol& p,
-                                         const FaultSpec& faults,
-                                         const FaultClassifier& classify,
-                                         const ExhaustiveOptions& opts,
-                                         const FailureCallback& on_failure) {
+SweepTotals sweep_faulty_executions(const Graph& g, const Protocol& p,
+                                    const FaultSpec& faults,
+                                    const FaultClassifier& classify,
+                                    const ExhaustiveOptions& opts,
+                                    const FailureCallback& on_failure) {
   const std::vector<FaultTask> tasks = tasks_per_world(
       g, p, faults, [&](const Protocol& world, std::uint64_t) {
         return partition_for_threads(g, world, opts.engine, opts.threads);
       });
   return sweep_fault_tasks(g, p, faults, tasks, classify, opts, on_failure);
+}
+
+bool all_executions_ok(
+    const Graph& g, const Protocol& p,
+    const std::function<bool(const ExecutionResult&)>& accept,
+    const ExhaustiveOptions& opts) {
+  ExhaustiveOptions verdict_only = opts;
+  verdict_only.distinct = DistinctConfig::Hll(HyperLogLog::kMinPrecision);
+  // Stopping at the first failure leaves it tallied, so the verdict is
+  // whether any failure was counted.
+  const SweepTotals totals = sweep_faulty_executions(
+      g, p, FaultSpec::None(), accept_classifier(accept), verdict_only,
+      [](const ExecutionResult&, FaultVerdict) { return false; });
+  return totals.engine_failures + totals.wrong_outputs == 0;
+}
+
+std::uint64_t count_distinct_final_boards(const Graph& g, const Protocol& p,
+                                          const ExhaustiveOptions& opts) {
+  return sweep_faulty_executions(g, p, FaultSpec::None(), accept_classifier(),
+                                 opts)
+      .distinct->estimate();
 }
 
 namespace {
@@ -499,10 +530,10 @@ std::vector<NodeId> sample_crash_set(Rng& rng, std::size_t n,
 
 }  // namespace
 
-StatisticalTotals run_statistical_verdict(const Graph& g, const Protocol& p,
-                                          const FaultSpec& faults,
-                                          const FaultClassifier& classify,
-                                          const StatisticalOptions& opts) {
+SweepTotals run_statistical_verdict(const Graph& g, const Protocol& p,
+                                    const FaultSpec& faults,
+                                    const FaultClassifier& classify,
+                                    const StatisticalOptions& opts) {
   WB_CHECK_MSG(opts.stride >= 1 && opts.offset < opts.stride,
                "statistical stride/offset out of range");
   const std::size_t n = g.node_count();
@@ -556,10 +587,12 @@ StatisticalTotals run_statistical_verdict(const Graph& g, const Protocol& p,
   bopts.threads = opts.threads;
   bopts.seed = opts.seed;
   const std::vector<ExecutionResult> results = run_batch(trials, bopts);
-  StatisticalTotals totals;
+  SweepTotals totals;
+  totals.executions = results.size();
+  totals.sampled.emplace();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const FaultVerdict v = classify(results[i], crash_sets[i]);
-    totals.verdict.record(v);
+    totals.sampled->record(v);
     if (v == FaultVerdict::kWrongOutput) {
       ++totals.wrong_outputs;
     } else if (v == FaultVerdict::kDeadlockOrFault) {

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -394,17 +395,32 @@ struct FaultTask {
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     const EngineOptions& eopts, std::size_t target_tasks);
 
-/// Totals of an exhaustive fault sweep. engine_failures counts
-/// kDeadlockOrFault verdicts and wrong_outputs counts kWrongOutput, matching
-/// the fault-free exhaustive report's two failure tallies; `distinct`
-/// accumulates every visited execution's final-board hash across all worlds.
-struct FaultSweepTotals {
+/// The one result of every sweep: sweep_fault_tasks, sweep_faulty_executions
+/// and run_statistical_verdict all return it, so a report or a shard result
+/// copies totals in one place whatever the backend. engine_failures counts
+/// kDeadlockOrFault verdicts and wrong_outputs counts kWrongOutput — the two
+/// failure tallies of every sweep report.
+struct SweepTotals {
+  /// Fault worlds an exhaustive sweep covered (world 0 alone when
+  /// fault-free); 0 for a sampled sweep.
   std::uint64_t worlds = 0;
+  /// Visited executions, or sampled trials.
   std::uint64_t executions = 0;
   std::uint64_t engine_failures = 0;
   std::uint64_t wrong_outputs = 0;
+  /// Every visited execution's final-board hash, across all worlds. Null for
+  /// a sampled sweep: its board population is not a deterministic set.
   std::unique_ptr<DistinctAccumulator> distinct;
+  /// The mergeable verdict tally, set only for a sampled sweep.
+  std::optional<VerdictAccumulator> sampled;
 };
+
+/// The canonical classifier: an unsuccessful execution is kDeadlockOrFault;
+/// a successful one is kWrongOutput when `accept` (may be empty: accept all)
+/// rejects it, else kCorrect. The crash set is ignored. `accept` must be
+/// thread-safe when the sweep runs on more than one thread.
+[[nodiscard]] FaultClassifier accept_classifier(
+    std::function<bool(const ExecutionResult&)> accept = {});
 
 /// Called with every execution whose verdict is not kCorrect; returning
 /// false stops the sweep (the current subtree unwinds and, in parallel
@@ -416,15 +432,16 @@ using FailureCallback =
 /// The one loop that visits and tallies exhaustive executions: sweep the
 /// executions inside the named (world, prefix) subtrees — a whole sweep, or
 /// one shard of it. Tasks are grouped by world and worlds swept in ascending
-/// order; within a world the prefixes fan out over opts.threads workers with
-/// one DistinctAccumulator per task. opts.max_executions bounds the whole
-/// call (BudgetExceededError, deterministically at any thread count).
+/// order; within a world the prefixes fan out over opts.threads workers
+/// (for_each_execution_under) with one DistinctAccumulator per task, folded
+/// into the returned SweepTotals::distinct. opts.max_executions bounds the
+/// whole call (BudgetExceededError, deterministically at any thread count).
 /// Totals are bit-identical at any thread count for the same task list, and
 /// merging shard totals over a partition equals the unsharded sweep. A
 /// fault-free spec (kind kNone) has exactly world 0, which runs the
 /// unadapted protocol. `on_failure` (may be empty) sees every non-kCorrect
 /// verdict, e.g. to track a counterexample.
-[[nodiscard]] FaultSweepTotals sweep_fault_tasks(
+[[nodiscard]] SweepTotals sweep_fault_tasks(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     std::span<const FaultTask> tasks, const FaultClassifier& classify,
     const ExhaustiveOptions& opts = {},
@@ -436,10 +453,31 @@ using FailureCallback =
 /// A fault-free spec (none, crash:0, corrupt with p = 0) visits exactly the
 /// unadapted explorer's execution set, with the same counts and distinct
 /// accumulation; the serial (threads = 1) sweep is the repo's oracle.
-[[nodiscard]] FaultSweepTotals sweep_faulty_executions(
+[[nodiscard]] SweepTotals sweep_faulty_executions(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     const FaultClassifier& classify, const ExhaustiveOptions& opts = {},
     const FailureCallback& on_failure = {});
+
+/// True iff every execution of `p` on `g` is successful and `accept(result)`
+/// holds for all of them: the fault-free sweep_faulty_executions under
+/// accept_classifier(accept), stopped at the first violation (sibling
+/// subtrees cancel). The verdict is deterministic at any thread count.
+/// opts.distinct is ignored — the count is thrown away, so the sweep keeps
+/// the smallest hll sketch.
+[[nodiscard]] bool all_executions_ok(
+    const Graph& g, const Protocol& p,
+    const std::function<bool(const ExecutionResult&)>& accept,
+    const ExhaustiveOptions& opts = {});
+
+/// Count distinct final whiteboards over all executions of `p` on `g` (by
+/// content, keyed by a word-wise 128-bit hash — see src/support/hash.h):
+/// the distinct count of the fault-free sweep_faulty_executions, exact or an
+/// hll estimate per opts.distinct, bit-identical at any thread count.
+/// Diagnostic for order-oblivious protocols: a SIMASYNC whiteboard is a
+/// permutation of one fixed message multiset, so decoders must not depend on
+/// order; this reports how much the adversary can vary the board.
+[[nodiscard]] std::uint64_t count_distinct_final_boards(
+    const Graph& g, const Protocol& p, const ExhaustiveOptions& opts = {});
 
 // ---------------------------------------------------------------------------
 // Statistical fault sweeps.
@@ -461,14 +499,6 @@ struct StatisticalOptions {
   EngineOptions engine;
 };
 
-/// A statistical sweep's totals: the mergeable verdict plus the same
-/// failure-mode breakdown the exhaustive sweep reports.
-struct StatisticalTotals {
-  VerdictAccumulator verdict;
-  std::uint64_t engine_failures = 0;
-  std::uint64_t wrong_outputs = 0;
-};
-
 /// Sample executions of `p` on `g` under the failure model and classify each
 /// one. Per trial, a seeded policy draws the fault realization and then a
 /// random schedule:
@@ -478,9 +508,10 @@ struct StatisticalTotals {
 ///   kCorrupt  the spec's deterministic corruption channel, random schedule;
 ///   kAdaptive with probability 1/2 crash one uniform node, random schedule
 ///             (the seeded adaptive policy).
-/// Deterministic given (faults, opts): thread-count independent and
-/// stride-split mergeable.
-[[nodiscard]] StatisticalTotals run_statistical_verdict(
+/// Returns the trial count as `executions` and the verdict tally as
+/// `sampled`, with no distinct accumulator. Deterministic given (faults,
+/// opts): thread-count independent and stride-split mergeable.
+[[nodiscard]] SweepTotals run_statistical_verdict(
     const Graph& g, const Protocol& p, const FaultSpec& faults,
     const FaultClassifier& classify, const StatisticalOptions& opts = {});
 

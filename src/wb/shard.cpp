@@ -217,8 +217,7 @@ void hash_bytes(Hasher128& h, const std::string& bytes) {
 /// wrong (or silently mixed exact/approximate) totals.
 Hash128 fingerprint_plan(const std::string& protocol_spec, const Graph& g,
                          const PlanOptions& opts, std::size_t shard_count,
-                         std::span<const PrefixTask> all_tasks,
-                         std::span<const FaultTask> all_fault_tasks) {
+                         std::span<const FaultTask> all_tasks) {
   Hasher128 h;
   hash_bytes(h, protocol_spec);
   h.update(g.node_count());
@@ -234,29 +233,33 @@ Hash128 fingerprint_plan(const std::string& protocol_spec, const Graph& g,
                ? static_cast<std::uint64_t>(opts.distinct.hll_precision)
                : 0);
   h.update(shard_count);
-  h.update(all_tasks.size());
-  for (const PrefixTask& t : all_tasks) {
-    h.update(t.depth);
-    for (const NodeId v : t.prefix()) h.update(v);
-  }
-  // Fault-model coverage: hashed only for faulty plans, so every fault-free
-  // fingerprint — including those already committed in golden artifacts —
-  // is unchanged. Mismatched fault specs (or the same spec with a different
-  // world partition) refuse to merge exactly like mismatched partitions.
-  if (opts.faults.kind != FaultKind::kNone) {
-    h.update(0x66756c74);  // domain tag: "fult"
-    h.update(static_cast<std::uint64_t>(opts.faults.kind));
-    h.update(opts.faults.crash_f);
-    h.update(opts.faults.prob_num);
-    h.update(opts.faults.prob_den);
-    h.update(opts.faults.seed);
-    h.update(opts.faults.trials);
-    h.update(all_fault_tasks.size());
-    for (const FaultTask& t : all_fault_tasks) {
-      h.update(t.world);
+  // A fault-free plan hashes its world-0 prefixes here; a faulty plan hashes
+  // an empty prefix list here and its (world, prefix) tasks below, so every
+  // fingerprint — including those committed in golden artifacts — is the
+  // one the two-list layout of earlier builds produced.
+  const bool fault_free = opts.faults.kind == FaultKind::kNone;
+  h.update(fault_free ? all_tasks.size() : 0);
+  if (fault_free) {
+    for (const FaultTask& t : all_tasks) {
       h.update(t.prefix.depth);
       for (const NodeId v : t.prefix.prefix()) h.update(v);
     }
+    return h.digest();
+  }
+  // Mismatched fault specs (or the same spec with a different world
+  // partition) refuse to merge exactly like mismatched partitions.
+  h.update(0x66756c74);  // domain tag: "fult"
+  h.update(static_cast<std::uint64_t>(opts.faults.kind));
+  h.update(opts.faults.crash_f);
+  h.update(opts.faults.prob_num);
+  h.update(opts.faults.prob_den);
+  h.update(opts.faults.seed);
+  h.update(opts.faults.trials);
+  h.update(all_tasks.size());
+  for (const FaultTask& t : all_tasks) {
+    h.update(t.world);
+    h.update(t.prefix.depth);
+    for (const NodeId v : t.prefix.prefix()) h.update(v);
   }
   return h.digest();
 }
@@ -333,6 +336,68 @@ HyperLogLog parse_register_block(LineParser& lp, int precision) {
   return HyperLogLog(precision);  // unreachable
 }
 
+/// One task section of a shard spec: `<section> COUNT`, then COUNT lines
+/// of `prefix DEPTH IDS...` (section `prefixes`: world 0) or `fprefix WORLD
+/// DEPTH IDS...` (section `fprefixes`). `worlds` bounds the world index;
+/// worlds == 0 admits no task at all — a faulty spec's `prefixes` section.
+std::vector<FaultTask> parse_task_section(LineParser& lp,
+                                          const std::string& text,
+                                          const std::string& section,
+                                          std::uint64_t n,
+                                          std::uint64_t worlds) {
+  const bool with_world = section == "fprefixes";
+  const std::string keyword = with_world ? "fprefix" : "prefix";
+  const std::uint64_t count = parse_u64_field(
+      lp, lp.expect(section),
+      with_world ? "fault prefix count" : "prefix count");
+  WB_REQUIRE_MSG(worlds > 0 || count == 0,
+                 "shard spec line " << lp.line_no() << ": '" << section << " "
+                                    << count
+                                    << "' in a faulty spec — only fault-free "
+                                       "specs list bare prefixes");
+  std::vector<FaultTask> tasks;
+  tasks.reserve(clamped_reserve(count, text));
+  const std::size_t skip = with_world ? 1 : 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto pf = split_fields(lp.expect(keyword));
+    WB_REQUIRE_MSG(pf.size() > skip,
+                   "shard spec line " << lp.line_no() << ": expected '"
+                                      << keyword
+                                      << (with_world ? " <world>" : "")
+                                      << " <depth> ...'");
+    FaultTask task;
+    if (with_world) {
+      task.world = parse_u64_field(lp, pf[0], "fault world");
+      WB_REQUIRE_MSG(task.world < worlds,
+                     "shard spec line " << lp.line_no() << ": fault world "
+                                        << task.world << " out of range 0.."
+                                        << worlds - 1);
+    }
+    PrefixTask& prefix = task.prefix;
+    prefix.depth = static_cast<std::size_t>(
+        parse_u64_field(lp, pf[skip], "prefix depth"));
+    WB_REQUIRE_MSG(prefix.depth <= prefix.decision.size(),
+                   "shard spec line " << lp.line_no() << ": prefix depth "
+                                      << prefix.depth << " exceeds the maximum "
+                                      << prefix.decision.size());
+    WB_REQUIRE_MSG(pf.size() == skip + 1 + prefix.depth,
+                   "shard spec line " << lp.line_no() << ": " << keyword
+                                      << " of depth " << prefix.depth
+                                      << " must carry exactly " << prefix.depth
+                                      << " node ids");
+    for (std::size_t d = 0; d < prefix.depth; ++d) {
+      const std::uint64_t v =
+          parse_u64_field(lp, pf[skip + 1 + d], "prefix node");
+      WB_REQUIRE_MSG(v >= 1 && v <= n, "shard spec line "
+                                           << lp.line_no() << ": prefix node "
+                                           << v << " out of range 1.." << n);
+      prefix.decision[d] = static_cast<NodeId>(v);
+    }
+    tasks.push_back(task);
+  }
+  return tasks;
+}
+
 }  // namespace
 
 Hash128 hash_document(const std::string& text) {
@@ -350,20 +415,15 @@ std::vector<ShardSpec> plan_shards(const Graph& g, const Protocol& p,
                  "shard count " << shard_count << " is not a serious plan");
   const std::size_t target =
       shard_count * std::max<std::size_t>(1, opts.tasks_per_shard);
-  std::vector<PrefixTask> tasks;
-  std::vector<FaultTask> fault_tasks;
-  if (opts.faults.kind == FaultKind::kNone) {
-    tasks = partition_executions(g, p, opts.engine, target);
-  } else if (opts.faults.kind != FaultKind::kAdaptive) {
-    // Crash/corruption sweeps partition (fault world × prefix) pairs; the
-    // world enumeration folds into the same round-robin distribution.
-    fault_tasks = partition_fault_tasks(g, p, opts.faults, opts.engine, target);
-  }
   // Adaptive plans carry no partition: shard k of K runs trial indices
   // k, k+K, k+2K, ... — the stride split run_shard derives from the shard
   // coordinates, which merges to exactly the single-stream trial set.
-  const Hash128 plan = fingerprint_plan(protocol_spec, g, opts, shard_count,
-                                        tasks, fault_tasks);
+  const std::vector<FaultTask> tasks =
+      opts.faults.kind == FaultKind::kAdaptive
+          ? std::vector<FaultTask>{}
+          : partition_fault_tasks(g, p, opts.faults, opts.engine, target);
+  const Hash128 plan =
+      fingerprint_plan(protocol_spec, g, opts, shard_count, tasks);
   std::vector<ShardSpec> specs(shard_count);
   for (std::size_t k = 0; k < shard_count; ++k) {
     specs[k].protocol_spec = protocol_spec;
@@ -377,10 +437,7 @@ std::vector<ShardSpec> plan_shards(const Graph& g, const Protocol& p,
     specs[k].faults = opts.faults;
   }
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    specs[t % shard_count].prefixes.push_back(tasks[t]);
-  }
-  for (std::size_t t = 0; t < fault_tasks.size(); ++t) {
-    specs[t % shard_count].fault_tasks.push_back(fault_tasks[t]);
+    specs[t % shard_count].tasks.push_back(tasks[t]);
   }
   return specs;
 }
@@ -430,20 +487,20 @@ std::string serialize(const ShardSpec& spec) {
   append_hash_line(plan_line, "plan", spec.plan);
   os << plan_line;
   os << "shard " << spec.shard_index << " " << spec.shard_count << "\n";
-  os << "prefixes " << spec.prefixes.size() << "\n";
-  for (const PrefixTask& t : spec.prefixes) {
-    os << "prefix " << t.depth;
-    for (const NodeId v : t.prefix()) os << " " << v;
-    os << "\n";
+  // A fault-free spec lists its world-0 tasks as bare prefixes; every other
+  // kind keeps an empty `prefixes` section, and crash/corruption specs list
+  // their (world, prefix) tasks under `fprefixes`.
+  const bool fault_free = spec.faults.kind == FaultKind::kNone;
+  os << "prefixes " << (fault_free ? spec.tasks.size() : 0) << "\n";
+  if (!fault_free && spec.faults.kind != FaultKind::kAdaptive) {
+    os << "fprefixes " << spec.tasks.size() << "\n";
   }
-  if (spec.faults.kind == FaultKind::kCrash ||
-      spec.faults.kind == FaultKind::kCorrupt) {
-    os << "fprefixes " << spec.fault_tasks.size() << "\n";
-    for (const FaultTask& t : spec.fault_tasks) {
-      os << "fprefix " << t.world << " " << t.prefix.depth;
-      for (const NodeId v : t.prefix.prefix()) os << " " << v;
-      os << "\n";
-    }
+  for (const FaultTask& t : spec.tasks) {
+    os << (fault_free ? "prefix " : "fprefix ");
+    if (!fault_free) os << t.world << " ";
+    os << t.prefix.depth;
+    for (const NodeId v : t.prefix.prefix()) os << " " << v;
+    os << "\n";
   }
   os << "end\n";
   return os.str();
@@ -519,38 +576,12 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                     << spec.shard_index << " of "
                                     << spec.shard_count << " is out of range");
 
-  const std::uint64_t prefix_count =
-      parse_u64_field(lp, lp.expect("prefixes"), "prefix count");
-  spec.prefixes.reserve(clamped_reserve(prefix_count, text));
-  for (std::uint64_t i = 0; i < prefix_count; ++i) {
-    const auto pf = split_fields(lp.expect("prefix"));
-    WB_REQUIRE_MSG(!pf.empty(),
-                   "shard spec line " << lp.line_no()
-                                      << ": expected 'prefix <depth> ...'");
-    PrefixTask task;
-    task.depth = static_cast<std::size_t>(
-        parse_u64_field(lp, pf[0], "prefix depth"));
-    WB_REQUIRE_MSG(task.depth <= task.decision.size(),
-                   "shard spec line " << lp.line_no() << ": prefix depth "
-                                      << task.depth << " exceeds the maximum "
-                                      << task.decision.size());
-    WB_REQUIRE_MSG(pf.size() == 1 + task.depth,
-                   "shard spec line "
-                       << lp.line_no() << ": prefix of depth " << task.depth
-                       << " must carry exactly " << task.depth << " node ids");
-    for (std::size_t d = 0; d < task.depth; ++d) {
-      const std::uint64_t v = parse_u64_field(lp, pf[1 + d], "prefix node");
-      WB_REQUIRE_MSG(v >= 1 && v <= n, "shard spec line "
-                                           << lp.line_no() << ": prefix node "
-                                           << v << " out of range 1.." << n);
-      task.decision[d] = static_cast<NodeId>(v);
-    }
-    spec.prefixes.push_back(task);
-  }
-
-  // Crash/corruption specs carry their (world × prefix) partition; the
-  // `fprefixes` section is rejected for every other fault kind (expect_end
-  // below refuses it), and required for these two.
+  // A fault-free spec's tasks are its `prefix` lines (world 0). Every other
+  // kind must leave `prefixes` empty; crash/corruption specs carry their
+  // (world × prefix) partition under `fprefixes`, which expect_end below
+  // refuses for every other kind.
+  const bool fault_free = spec.faults.kind == FaultKind::kNone;
+  spec.tasks = parse_task_section(lp, text, "prefixes", n, fault_free ? 1 : 0);
   if (spec.faults.kind == FaultKind::kCrash ||
       spec.faults.kind == FaultKind::kCorrupt) {
     std::uint64_t worlds = 1;
@@ -563,44 +594,7 @@ ShardSpec parse_shard_spec(const std::string& text) {
                                                  << e.what());
       }
     }
-    const std::uint64_t fcount =
-        parse_u64_field(lp, lp.expect("fprefixes"), "fault prefix count");
-    spec.fault_tasks.reserve(clamped_reserve(fcount, text));
-    for (std::uint64_t i = 0; i < fcount; ++i) {
-      const auto pf = split_fields(lp.expect("fprefix"));
-      WB_REQUIRE_MSG(pf.size() >= 2,
-                     "shard spec line "
-                         << lp.line_no()
-                         << ": expected 'fprefix <world> <depth> ...'");
-      FaultTask task;
-      task.world = parse_u64_field(lp, pf[0], "fault world");
-      WB_REQUIRE_MSG(task.world < worlds,
-                     "shard spec line " << lp.line_no() << ": fault world "
-                                        << task.world << " out of range 0.."
-                                        << worlds - 1);
-      task.prefix.depth = static_cast<std::size_t>(
-          parse_u64_field(lp, pf[1], "prefix depth"));
-      WB_REQUIRE_MSG(task.prefix.depth <= task.prefix.decision.size(),
-                     "shard spec line "
-                         << lp.line_no() << ": prefix depth "
-                         << task.prefix.depth << " exceeds the maximum "
-                         << task.prefix.decision.size());
-      WB_REQUIRE_MSG(pf.size() == 2 + task.prefix.depth,
-                     "shard spec line " << lp.line_no()
-                                        << ": fprefix of depth "
-                                        << task.prefix.depth
-                                        << " must carry exactly "
-                                        << task.prefix.depth << " node ids");
-      for (std::size_t d = 0; d < task.prefix.depth; ++d) {
-        const std::uint64_t v =
-            parse_u64_field(lp, pf[2 + d], "prefix node");
-        WB_REQUIRE_MSG(v >= 1 && v <= n,
-                       "shard spec line " << lp.line_no() << ": prefix node "
-                                          << v << " out of range 1.." << n);
-        task.prefix.decision[d] = static_cast<NodeId>(v);
-      }
-      spec.fault_tasks.push_back(task);
-    }
+    spec.tasks = parse_task_section(lp, text, "fprefixes", n, worlds);
   }
   lp.expect_end();
   return spec;
@@ -765,21 +759,6 @@ ShardManifest parse_shard_manifest(const std::string& text) {
 }
 
 ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
-                      const std::function<bool(const ExecutionResult&)>& accept,
-                      std::size_t threads) {
-  // The canonical classifier: engine failures are terminal, accept (when
-  // given) judges successful executions. Field-for-field the pre-fault
-  // behavior of this overload.
-  const FaultClassifier classify = [&accept](const ExecutionResult& r,
-                                             std::span<const NodeId>) {
-    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
-    if (accept != nullptr && !accept(r)) return FaultVerdict::kWrongOutput;
-    return FaultVerdict::kCorrect;
-  };
-  return run_shard(spec, p, classify, threads);
-}
-
-ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
                       const FaultClassifier& classify, std::size_t threads) {
   WB_CHECK_MSG(classify != nullptr, "run_shard needs a fault classifier");
   ShardResult out;
@@ -790,16 +769,9 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
   out.distinct = spec.distinct;
   out.faults = spec.faults;
 
-  const auto cleared_payload = [&] {
-    if (spec.distinct.kind == DistinctKind::kHll) {
-      out.hll = HyperLogLog(spec.distinct.hll_precision);
-    }
-  };
-
+  SweepTotals totals;
   if (spec.faults.kind == FaultKind::kAdaptive) {
-    // Statistical mode: this shard runs its stride of the trial index
-    // space. No distinct-board payload — the sampled board population is
-    // not a deterministic set.
+    // Statistical mode: this shard runs its stride of the trial index space.
     StatisticalOptions sopts;
     sopts.trials = spec.faults.trials;
     sopts.seed = spec.faults.seed;
@@ -807,53 +779,46 @@ ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
     sopts.offset = spec.shard_index;
     sopts.threads = threads;
     sopts.engine = spec.engine;
-    const StatisticalTotals totals =
+    totals =
         run_statistical_verdict(spec.graph, p, spec.faults, classify, sopts);
-    out.executions = totals.verdict.trials();
-    out.engine_failures = totals.engine_failures;
-    out.wrong_outputs = totals.wrong_outputs;
-    out.verdict_trials = totals.verdict.trials();
-    out.verdict_failures = totals.verdict.failures();
-    cleared_payload();
-    return out;
-  }
-
-  ExhaustiveOptions opts;
-  opts.max_executions = spec.max_executions;
-  opts.threads = threads;
-  opts.distinct = spec.distinct;
-  opts.engine = spec.engine;
-  // A fault-free sweep is world 0 of the fault sweep: lift its prefixes.
-  std::vector<FaultTask> lifted;
-  if (spec.faults.kind == FaultKind::kNone) {
-    lifted.reserve(spec.prefixes.size());
-    for (const PrefixTask& t : spec.prefixes) lifted.push_back({0, t});
-  }
-  FaultSweepTotals totals;
-  try {
-    totals = sweep_fault_tasks(
-        spec.graph, p, spec.faults,
-        spec.faults.kind == FaultKind::kNone ? lifted : spec.fault_tasks,
-        classify, opts);
-  } catch (const BudgetExceededError&) {
-    // Exactly max_executions visits completed before the guard fired; which
-    // ones is scheduling-dependent, so every schedule-dependent field is
-    // cleared — the result file is deterministic, and the merge turns the
-    // flag back into the oracle's BudgetExceededError.
-    out.budget_exceeded = true;
-    out.executions = spec.max_executions;
-    cleared_payload();
-    return out;
+  } else {
+    ExhaustiveOptions opts;
+    opts.max_executions = spec.max_executions;
+    opts.threads = threads;
+    opts.distinct = spec.distinct;
+    opts.engine = spec.engine;
+    try {
+      totals = sweep_fault_tasks(spec.graph, p, spec.faults, spec.tasks,
+                                 classify, opts);
+    } catch (const BudgetExceededError&) {
+      // Exactly max_executions visits completed before the guard fired;
+      // which ones is scheduling-dependent, so every schedule-dependent
+      // field is cleared — the result file is deterministic, and the merge
+      // turns the flag back into the oracle's BudgetExceededError.
+      out.budget_exceeded = true;
+      totals.executions = spec.max_executions;
+    }
   }
   out.executions = totals.executions;
   out.engine_failures = totals.engine_failures;
   out.wrong_outputs = totals.wrong_outputs;
+  if (totals.sampled.has_value()) {
+    out.verdict_trials = totals.sampled->trials();
+    out.verdict_failures = totals.sampled->failures();
+  }
+  // A sampled or overrun sweep has no distinct payload: an hll result then
+  // carries an empty sketch, an exact one no hashes.
   if (spec.distinct.kind == DistinctKind::kExact) {
-    out.board_hashes =
-        static_cast<ExactDistinctAccumulator&>(*totals.distinct).take_sorted();
+    if (totals.distinct != nullptr) {
+      out.board_hashes =
+          static_cast<ExactDistinctAccumulator&>(*totals.distinct)
+              .take_sorted();
+    }
   } else {
-    out.hll =
-        static_cast<HllDistinctAccumulator&>(*totals.distinct).take_sketch();
+    out.hll = totals.distinct != nullptr
+                  ? static_cast<HllDistinctAccumulator&>(*totals.distinct)
+                        .take_sketch()
+                  : HyperLogLog(spec.distinct.hll_precision);
   }
   return out;
 }

@@ -9,7 +9,7 @@
 // fleet — and merged back into totals bit-identical to the single-process
 // `threads=1` oracle:
 //
-//   plan:  partition_executions → K ShardSpec files (round-robin tasks)
+//   plan:  partition_fault_tasks → K ShardSpec files (round-robin tasks)
 //          + one ShardManifest (plan fingerprint + per-spec document hashes,
 //          so a fleet controller can track completion and re-issue lost
 //          shards)
@@ -26,7 +26,7 @@
 //
 // Determinism contract (the reason merge order and shard→host assignment
 // never matter):
-//  - the prefix list is recorded in the specs, so equivalence never depends
+//  - the task list is recorded in the specs, so equivalence never depends
 //    on re-running the partition;
 //  - counts are sums over disjoint subtree sets; distinct boards go through
 //    a DistinctAccumulator (src/wb/distinct.h) whose merge — sorted-run set
@@ -72,8 +72,8 @@ inline constexpr int kFormatVersion = 2;
 
 /// One shard of a planned exhaustive sweep: the instance (graph + opaque
 /// protocol spec string + budget + engine options + distinct-accumulator
-/// config), which shard of how many this is, and the exact subtree prefixes
-/// this shard must sweep.
+/// config), which shard of how many this is, and the exact (world, prefix)
+/// tasks this shard must sweep.
 struct ShardSpec {
   /// Protocol factory string (src/cli/spec.h grammar). Opaque at this layer:
   /// carried, serialized, and fingerprinted, never parsed here.
@@ -94,16 +94,17 @@ struct ShardSpec {
   Hash128 plan{};
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  std::vector<PrefixTask> prefixes;
   /// Failure model every shard of this plan runs under (default: fault-free,
   /// which serializes without a `faults` line — fault-free documents are
   /// byte-identical to pre-fault v2 files). Covered by the plan fingerprint,
   /// so artifacts swept under different fault specs refuse to merge.
   FaultSpec faults{};
-  /// Crash/corruption plans partition (world × prefix) pairs instead of bare
-  /// prefixes; `prefixes` stays empty for them. Adaptive plans carry neither
-  /// — trials are split by index stride across shards.
-  std::vector<FaultTask> fault_tasks;
+  /// The (world, prefix) subtrees this shard must sweep — the one task list
+  /// of every exhaustive plan. A fault-free plan has world 0 only and
+  /// serializes its tasks as `prefix` lines; crash/corruption plans
+  /// serialize them as `fprefix` lines. Adaptive plans carry none — trials
+  /// are split by index stride across shards.
+  std::vector<FaultTask> tasks;
 };
 
 /// What one shard's sweep produced. All fields are bit-identical for any
@@ -177,7 +178,8 @@ struct PlanOptions {
   FaultSpec faults{};
 };
 
-/// Partition the schedule tree of (g, p) and distribute the prefix tasks
+/// Partition every fault world's schedule tree through partition_fault_tasks
+/// (a fault-free plan is world 0 alone) and distribute the tasks
 /// round-robin over `shard_count` specs, each stamped with the plan
 /// fingerprint. Deterministic: depends only on (g, p, shard_count, opts).
 /// Shards may receive no tasks (more shards than subtrees); their sweeps
@@ -225,28 +227,17 @@ struct ShardManifest {
 [[nodiscard]] ShardResult parse_shard_result(const std::string& text);
 [[nodiscard]] ShardManifest parse_shard_manifest(const std::string& text);
 
-/// Sweep one shard: every execution under spec.prefixes, run with
-/// spec.engine, fanned out over the shared ThreadPool (`threads` as in
-/// ExhaustiveOptions: 0 = one worker per hardware thread, 1 = serial). `p`
-/// must be the protocol spec.protocol_spec denotes (the CLI layer
-/// constructs it; library callers pass their own).
-/// `accept` — may be empty — classifies each *successful* execution's
-/// output; failures of the engine itself are tallied separately. A
-/// worker-local budget overrun is caught and recorded as budget_exceeded
-/// (see ShardResult); visitor exceptions propagate.
-[[nodiscard]] ShardResult run_shard(
-    const ShardSpec& spec, const Protocol& p,
-    const std::function<bool(const ExecutionResult&)>& accept,
-    std::size_t threads = 0);
-
-/// Failure-model-aware shard sweep (the accept overload delegates here with
-/// the canonical ok/accept classifier). Exhaustive specs run through
-/// sweep_fault_tasks — the loop the in-process exhaustive runner uses —
-/// over spec.fault_tasks, or for fault-free specs over spec.prefixes lifted
-/// to world 0; adaptive specs run this shard's stride of the trial index
-/// space through run_statistical_verdict and record the verdict tally. The
-/// classifier is consulted for every execution; kWrongOutput tallies into
-/// wrong_outputs and kDeadlockOrFault into engine_failures.
+/// Sweep one shard (`threads` as in ExhaustiveOptions: 0 = one worker per
+/// hardware thread, 1 = serial). `p` must be the protocol
+/// spec.protocol_spec denotes (the CLI layer constructs it; library callers
+/// pass their own). Exhaustive specs run spec.tasks through
+/// sweep_fault_tasks — the loop the in-process exhaustive runner uses;
+/// adaptive specs run this shard's stride of the trial index space through
+/// run_statistical_verdict and record the verdict tally. The classifier is
+/// consulted for every execution (accept_classifier gives the canonical
+/// one); kWrongOutput tallies into wrong_outputs and kDeadlockOrFault into
+/// engine_failures. A worker-local budget overrun is caught and recorded as
+/// budget_exceeded (see ShardResult); classifier exceptions propagate.
 [[nodiscard]] ShardResult run_shard(const ShardSpec& spec, const Protocol& p,
                                     const FaultClassifier& classify,
                                     std::size_t threads);

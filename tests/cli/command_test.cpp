@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/support/check.h"
+#include "src/wb/exhaustive.h"
 
 namespace wb::cli {
 namespace {
@@ -84,6 +85,37 @@ TEST(CommandRegistry, ExitCodeConventionsAreTheDocumentedOnes) {
   EXPECT_EQ(kExitFail, 1);
   EXPECT_EQ(kExitUsage, 2);
   EXPECT_EQ(kExitBug, 3);
+  EXPECT_EQ(kExitBudget, 4);
+}
+
+TEST(CommandRegistry, BudgetOverrunIsATypedRefusalNotABug) {
+  // BudgetExceededError is a LogicError subclass; main() must map it to its
+  // own exit code and message before the catch-all bug mapping sees it.
+  CommandRegistry registry("tool");
+  registry.add(Command{"sweep", "overruns", "tool sweep",
+                       [](const std::vector<std::string>&) -> int {
+                         throw BudgetExceededError(1000);
+                       }});
+  registry.add(Command{"bug", "breaks", "tool bug",
+                       [](const std::vector<std::string>&) -> int {
+                         throw LogicError("broken invariant");
+                       }});
+  const auto run = [&](const char* command, int* code) {
+    char tool[] = "tool";
+    std::string arg = command;
+    char* argv[] = {tool, arg.data()};
+    testing::internal::CaptureStdout();
+    *code = registry.main(2, argv);
+    return testing::internal::GetCapturedStdout();
+  };
+  int code = 0;
+  const std::string refused = run("sweep", &code);
+  EXPECT_EQ(code, kExitBudget);
+  EXPECT_EQ(refused, budget_refusal(1000) + "\n");
+  EXPECT_NE(refused.find("budget=1000"), std::string::npos);
+  const std::string bug = run("bug", &code);
+  EXPECT_EQ(code, kExitBug);
+  EXPECT_EQ(bug.rfind("internal error: ", 0), 0u) << bug;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #if WB_FLEET_HAS_PROCESSES
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -77,8 +78,60 @@ void expect_same_merge(const shard::MergedResult& got,
   EXPECT_EQ(got.distinct, want.distinct);
 }
 
-/// Fork a child that serves frames with run_worker (in-process, no exec).
-WorkerEndpoint fork_worker(const WorkerOptions& options = {}) {
+/// Holds forked workers' first sweep back until the parent opens it, so a
+/// test can pin that some controller event (an admission, a dispatch, a
+/// refusal) happens before those workers finish anything, instead of racing
+/// worker speed against the controller. open() writes one byte per waiter
+/// (up to kWaiters); a waiter consumes one. The wait is bounded (10 s) so a
+/// broken test fails its assertions instead of hanging the suite.
+class Gate {
+ public:
+  Gate() { WB_REQUIRE_MSG(::pipe(fds_) == 0, "pipe failed"); }
+  Gate(const Gate&) = delete;
+  Gate& operator=(const Gate&) = delete;
+  ~Gate() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+
+  void open() {
+    if (opened_) return;
+    opened_ = true;
+    const char bytes[kWaiters] = {};
+    WB_REQUIRE_MSG(::write(fds_[1], bytes, kWaiters) == kWaiters,
+                   "gate write failed");
+  }
+
+  /// Called in a forked child: returns once the parent has opened the gate.
+  void wait() const {
+    pollfd pfd{fds_[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 10000) == 1) {
+      char byte = 0;
+      (void)::read(fds_[0], &byte, 1);
+    }
+  }
+
+ private:
+  static constexpr int kWaiters = 16;
+  int fds_[2] = {-1, -1};
+  bool opened_ = false;
+};
+
+/// serial_runner whose first sweep waits for `gate` (if any) to open; the
+/// worker's heartbeats keep flowing meanwhile.
+ShardRunner gated_runner(const Gate* gate) {
+  return [gate, waited = gate == nullptr](const shard::ShardSpec& spec,
+                                          std::size_t threads) mutable {
+    if (!waited) gate->wait();
+    waited = true;
+    return serial_runner(spec, threads);
+  };
+}
+
+/// Fork a child that serves frames with run_worker (in-process, no exec);
+/// its first sweep waits for `gate` (if any).
+WorkerEndpoint fork_worker(const WorkerOptions& options = {},
+                           const Gate* gate = nullptr) {
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
   WB_REQUIRE_MSG(::pipe(to_child) == 0 && ::pipe(from_child) == 0,
@@ -88,7 +141,8 @@ WorkerEndpoint fork_worker(const WorkerOptions& options = {}) {
   if (pid == 0) {
     ::close(to_child[1]);
     ::close(from_child[0]);
-    ::_exit(run_worker(to_child[0], from_child[1], serial_runner, options));
+    ::_exit(run_worker(to_child[0], from_child[1], gated_runner(gate),
+                       options));
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
@@ -569,10 +623,12 @@ TEST(FleetWorker, UnsweepableSpecAnswersWithAnErrorFrameAndLivesOn) {
 // sweep must still merge bit-identically to the serial reference.
 
 /// Fork a child running the long-lived dial-in loop (wbsim fleet worker
-/// --connect). The child closes the inherited listener fd first so a
-/// dangling child can never keep the port alive past the controller.
+/// --connect); its first sweep waits for `gate` (if any). The child closes
+/// the inherited listener fd first so a dangling child can never keep the
+/// port alive past the controller.
 pid_t fork_connect_worker(const SocketListener& listener,
-                          const WorkerOptions& options = {}) {
+                          const WorkerOptions& options = {},
+                          const Gate* gate = nullptr) {
   const SocketAddress address = listener.bound_address();
   const int listener_fd = listener.fd();
   const pid_t pid = ::fork();
@@ -584,7 +640,7 @@ pid_t fork_connect_worker(const SocketListener& listener,
     connect.redial_base = milliseconds(50);
     connect.redial_max = milliseconds(500);
     connect.redial_limit = 40;  // bounded so a test bug cannot hang the suite
-    ::_exit(run_worker_connect(connect, serial_runner, options));
+    ::_exit(run_worker_connect(connect, gated_runner(gate), options));
   }
   return pid;
 }
@@ -633,18 +689,22 @@ TEST(SocketFleet, DialInWorkersServeAnAllRemoteSweep) {
   SocketListener listener(SocketAddress{"127.0.0.1", 0});
   std::vector<std::string> admitted_hosts;
   bool any_reconnect = false;
+  // Neither worker sweeps until both are admitted; otherwise the first can
+  // finish all 4 shards before the second dials in.
+  Gate both_admitted;
   FleetObserver observer;
   observer.on_admit = [&](std::size_t, const HelloInfo& hello,
                           bool reconnected) {
     admitted_hosts.push_back(hello.host);
     any_reconnect = any_reconnect || reconnected;
+    if (admitted_hosts.size() == 2) both_admitted.open();
   };
   WorkerOptions alpha;
   alpha.hostname = "alpha";
   WorkerOptions beta;
   beta.hostname = "beta";
-  const pid_t pid_a = fork_connect_worker(listener, alpha);
-  const pid_t pid_b = fork_connect_worker(listener, beta);
+  const pid_t pid_a = fork_connect_worker(listener, alpha, &both_admitted);
+  const pid_t pid_b = fork_connect_worker(listener, beta, &both_admitted);
   FleetOptions options;
   options.workers = 0;
   options.drain_grace = milliseconds(200);
@@ -672,7 +732,12 @@ TEST(SocketFleet, SigkillRemoteMidShardShiftsLoadToTheSurvivor) {
   WorkerOptions survivor;
   survivor.hostname = "survivor";
   const pid_t victim_pid = fork_connect_worker(listener, victim);
-  const pid_t survivor_pid = fork_connect_worker(listener, survivor);
+  // The survivor sweeps nothing until the victim holds a shard; otherwise it
+  // can sweep every shard before the victim is admitted, and nothing is
+  // killed.
+  Gate survivor_gate;
+  const pid_t survivor_pid =
+      fork_connect_worker(listener, survivor, &survivor_gate);
   std::size_t victim_index = SIZE_MAX;
   bool killed = false;
   std::string lost_reason;
@@ -685,6 +750,7 @@ TEST(SocketFleet, SigkillRemoteMidShardShiftsLoadToTheSurvivor) {
     if (!killed && worker == victim_index) {
       killed = true;
       ::kill(victim_pid, SIGKILL);
+      survivor_gate.open();
     }
   };
   observer.on_worker_lost = [&](std::size_t worker, const std::string& why) {
@@ -716,6 +782,10 @@ TEST(SocketFleet, RemoteLossSpendsNoRespawnBudget) {
   remote.hostname = "remote";
   remote.stall_first = milliseconds(400);
   const pid_t remote_pid = fork_connect_worker(listener, remote);
+  // The local worker sweeps nothing until the remote holds a shard;
+  // otherwise it can sweep all 3 shards before the dial-in is admitted, and
+  // the remote loss this test pins never happens.
+  Gate local_gate;
   std::size_t remote_index = SIZE_MAX;
   std::size_t spawns = 0;
   bool killed = false;
@@ -729,14 +799,17 @@ TEST(SocketFleet, RemoteLossSpendsNoRespawnBudget) {
     if (!killed && worker == remote_index) {
       killed = true;
       ::kill(remote_pid, SIGKILL);
+      local_gate.open();
     }
   };
   FleetOptions options;
   options.workers = 1;
   options.backoff_base = milliseconds(10);
   options.drain_grace = milliseconds(100);
-  const auto outcomes =
-      run_fleet({plan}, options, plain_launcher(), observer, &listener);
+  const auto outcomes = run_fleet(
+      {plan}, options,
+      [&](std::size_t) { return fork_worker({}, &local_gate); }, observer,
+      &listener);
   EXPECT_EQ(reap(remote_pid), -SIGKILL);
   ASSERT_TRUE(killed);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -805,10 +878,22 @@ TEST(SocketFleet, HalfOpenConnectionIsSuspectedButTheLinkStaysOpen) {
   WorkerOptions honest;
   honest.hostname = "honest";
   honest.heartbeat_interval = milliseconds(100);
-  const pid_t honest_pid = fork_connect_worker(listener, honest);
+  // The honest worker sweeps nothing until the silent one holds a shard;
+  // otherwise it can sweep both shards first, and nothing is suspected.
+  Gate silent_dispatched;
+  const pid_t honest_pid =
+      fork_connect_worker(listener, honest, &silent_dispatched);
   std::vector<std::string> lost;
   std::size_t requeues = 0;
+  std::size_t silent_index = SIZE_MAX;
   FleetObserver observer;
+  observer.on_admit = [&](std::size_t worker, const HelloInfo& hello, bool) {
+    if (hello.host == "silent") silent_index = worker;
+  };
+  observer.on_dispatch = [&](std::size_t worker, const std::string&,
+                             std::uint32_t, int) {
+    if (worker == silent_index) silent_dispatched.open();
+  };
   observer.on_worker_lost = [&](std::size_t, const std::string& why) {
     lost.push_back(why);
   };
@@ -849,12 +934,16 @@ TEST(SocketFleet, MisconfiguredHeartbeatIsRefusedAtHandshake) {
   WorkerOptions good;
   good.hostname = "good";
   good.heartbeat_interval = milliseconds(100);
-  const pid_t good_pid = fork_connect_worker(listener, good);
+  // The good worker sweeps nothing until the bad one is refused; otherwise
+  // it can finish the plan before the bad hello is read.
+  Gate bad_refused;
+  const pid_t good_pid = fork_connect_worker(listener, good, &bad_refused);
   std::vector<std::string> lost;
   std::vector<std::string> admitted;
   FleetObserver observer;
   observer.on_worker_lost = [&](std::size_t, const std::string& why) {
     lost.push_back(why);
+    bad_refused.open();
   };
   observer.on_admit = [&](std::size_t, const HelloInfo& hello, bool) {
     admitted.push_back(hello.host);
@@ -899,11 +988,16 @@ TEST(SocketFleet, VersionSkewedHelloIsRefusedAtHandshake) {
   });
   WorkerOptions current;
   current.hostname = "current";
-  const pid_t current_pid = fork_connect_worker(listener, current);
+  // As in MisconfiguredHeartbeatIsRefusedAtHandshake: the current worker
+  // sweeps nothing until the skewed one is refused.
+  Gate skewed_refused;
+  const pid_t current_pid =
+      fork_connect_worker(listener, current, &skewed_refused);
   std::vector<std::string> lost;
   FleetObserver observer;
   observer.on_worker_lost = [&](std::size_t, const std::string& why) {
     lost.push_back(why);
+    skewed_refused.open();
   };
   FleetOptions options;
   options.workers = 0;
@@ -985,7 +1079,11 @@ TEST_P(SocketFleetKillAndSever, SweepStaysBitIdenticalToTheOracle) {
   survivor.stall_first = milliseconds(400);
   survivor.sever_after = milliseconds(200);
   const pid_t victim_pid = fork_connect_worker(listener, victim);
-  const pid_t survivor_pid = fork_connect_worker(listener, survivor);
+  // As in SigkillRemoteMidShardShiftsLoadToTheSurvivor: the survivor sweeps
+  // nothing until the victim holds a shard, so the kill always happens.
+  Gate survivor_gate;
+  const pid_t survivor_pid =
+      fork_connect_worker(listener, survivor, &survivor_gate);
   std::size_t victim_index = SIZE_MAX;
   bool killed = false;
   bool reconnected_seen = false;
@@ -1000,6 +1098,7 @@ TEST_P(SocketFleetKillAndSever, SweepStaysBitIdenticalToTheOracle) {
     if (!killed && worker == victim_index) {
       killed = true;
       ::kill(victim_pid, SIGKILL);
+      survivor_gate.open();
     }
   };
   FleetOptions options;

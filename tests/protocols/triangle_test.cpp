@@ -7,6 +7,7 @@
 #include "src/graph/generators.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace wb {
 namespace {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "src/graph/algorithms.h"
+#include "src/graph/enumerate.h"
 #include "src/graph/generators.h"
 #include "src/protocols/build_degenerate.h"
 #include "src/protocols/build_forest.h"
@@ -12,6 +15,7 @@
 #include "src/protocols/mis.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace wb {
 namespace {
@@ -121,6 +125,98 @@ TEST(Adapters, FullChainReconstructsIdentically) {
     ASSERT_TRUE(r.ok()) << typed->name();
     EXPECT_EQ(*typed->output(r.board, 10), g) << typed->name();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lemma 4 as a metamorphic table: SIMASYNC ⊆ SIMSYNC ⊆ ASYNC ⊆ SYNC, so on
+// every graph of a family (all of them with n ≤ 5, from src/graph/enumerate.h)
+// where the native protocol is correct over all schedules, each lift to an
+// enclosing class must be correct over all of its schedules too. Becker et
+// al. (arXiv:1109.6534) study where the inclusions are strict; this table
+// pins the direction that must always hold.
+
+/// Whether `p` is correct over every schedule of `g`: the all_executions_ok
+/// wrapper over the one sweep loop, with `check` judging each output.
+template <typename OutputT, typename Check>
+bool correct_everywhere(const Graph& g, const ProtocolWithOutput<OutputT>& p,
+                        const Check& check) {
+  return all_executions_ok(g, p, [&](const ExecutionResult& r) {
+    return check(p.output(r.board, g.node_count()));
+  });
+}
+
+/// One row of the table: returns whether the native protocol qualifies on
+/// `g` and, if it does, expects every lift to stay correct.
+template <typename OutputT, typename Check>
+bool lifts_stay_correct(
+    const Graph& g, const ProtocolWithOutput<OutputT>& native,
+    std::initializer_list<const ProtocolWithOutput<OutputT>*> lifts,
+    const Check& check) {
+  if (!correct_everywhere(g, native, check)) return false;
+  for (const ProtocolWithOutput<OutputT>* lift : lifts) {
+    EXPECT_GT(static_cast<int>(lift->model_class()),
+              static_cast<int>(native.model_class()))
+        << lift->name() << " does not lift to an enclosing class";
+    EXPECT_TRUE(correct_everywhere(g, *lift, check))
+        << lift->name() << " on n=" << g.node_count()
+        << " m=" << g.edge_count();
+  }
+  return true;
+}
+
+TEST(Lemma4, BuildForestLiftsStayCorrectOnEveryLabeledForest) {
+  const BuildForestProtocol native;  // SIMASYNC
+  const SimAsyncInSimSync<BuildOutput> at_simsync(native);
+  const Rebadge<BuildOutput> at_async(native, ModelClass::kAsync);
+  const SimSyncInAsync<BuildOutput> at_async_ordered(at_simsync);
+  const Rebadge<BuildOutput> at_sync(at_simsync, ModelClass::kSync);
+  const AsyncInSync<BuildOutput> at_async_sync(at_async);
+  std::size_t rows = 0;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for_each_labeled_forest(n, [&](const Graph& g) {
+      rows += lifts_stay_correct(
+          g, native,
+          {&at_simsync, &at_async, &at_async_ordered, &at_sync,
+           &at_async_sync},
+          [&g](const BuildOutput& out) { return out.has_value() && *out == g; });
+    });
+  }
+  EXPECT_EQ(rows, 1u + 2u + 7u + 38u + 291u);  // every labeled forest
+}
+
+TEST(Lemma4, RootedMisLiftsStayCorrectOnEveryConnectedGraph) {
+  // Root 1 on every labeled graph covers every (graph, root) pair up to
+  // relabeling.
+  const RootedMisProtocol native(1);  // SIMSYNC
+  const SimSyncInAsync<MisOutput> at_async(native);
+  const Rebadge<MisOutput> at_sync(native, ModelClass::kSync);
+  const AsyncInSync<MisOutput> at_async_sync(at_async);
+  std::size_t rows = 0;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for_each_connected_graph(n, [&](const Graph& g) {
+      rows += lifts_stay_correct(
+          g, native, {&at_async, &at_sync, &at_async_sync},
+          [&g](const MisOutput& out) { return is_rooted_mis(g, out, 1); });
+    });
+  }
+  EXPECT_EQ(rows, 1u + 1u + 4u + 38u + 728u);  // every connected graph
+}
+
+TEST(Lemma4, EobBfsLiftStaysCorrectOnEveryEvenOddBipartiteGraph) {
+  const EobBfsProtocol native;  // ASYNC
+  const AsyncInSync<BfsProtocolOutput> at_sync(native);
+  std::size_t rows = 0;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for_each_even_odd_bipartite_graph(n, [&](const Graph& g) {
+      const BfsForest ref = bfs_forest(g);
+      rows += lifts_stay_correct(
+          g, native, {&at_sync}, [&](const BfsProtocolOutput& out) {
+            return out.valid && out.layer == ref.layer &&
+                   is_valid_bfs_forest(g, out.layer, out.parent);
+          });
+    });
+  }
+  EXPECT_EQ(rows, 1u + 2u + 4u + 16u + 64u);  // every such graph
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/graph/generators.h"
 #include "src/protocols/anon_frontier.h"
 #include "src/protocols/bfs_sync.h"
+#include "src/wb/faults.h"
 #include "tests/cli/report_lines.h"
 #include "tests/wb/test_protocols.h"
 

@@ -48,12 +48,10 @@ std::string data_file(const std::string& name) {
   return buffer.str();
 }
 
-/// The run_shard accept-wrapper semantics: engine failure -> kDeadlockOrFault,
-/// everything else correct. Fault-free sweeps under this classifier tally
-/// exactly like the pre-fault explorer.
-FaultVerdict accept_all(const ExecutionResult& r, std::span<const NodeId>) {
-  return r.ok() ? FaultVerdict::kCorrect : FaultVerdict::kDeadlockOrFault;
-}
+/// The canonical classifier with no output check: engine failure ->
+/// kDeadlockOrFault, everything else correct. Fault-free sweeps under this
+/// classifier tally exactly like the unadapted explorer.
+const FaultClassifier accept_all = accept_classifier();
 
 /// Crash-tolerant judge: a deadlock is expected (not a failure) whenever
 /// nodes crashed.
@@ -180,7 +178,7 @@ TEST(FaultFreeOracle, SweepMatchesUnadaptedExplorerAcrossClassesAndThreads) {
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         ExhaustiveOptions opts;
         opts.threads = threads;
-        const FaultSweepTotals totals =
+        const SweepTotals totals =
             sweep_faulty_executions(*g, *p, faults, accept_all, opts);
         EXPECT_EQ(totals.worlds, 1u);
         EXPECT_EQ(totals.executions, oracle.executions)
@@ -236,7 +234,7 @@ TEST(CrashSweep, EnumeratesEveryWorldAndCountsItsSchedules) {
   // crashed worlds runs the 3! tree of the survivors and deadlocks.
   const Graph g = path_graph(4);
   const testing::EchoIdProtocol p;
-  const FaultSweepTotals tolerant = sweep_faulty_executions(
+  const SweepTotals tolerant = sweep_faulty_executions(
       g, p, FaultSpec::Crash(1), crash_tolerant, {});
   EXPECT_EQ(tolerant.worlds, 5u);
   EXPECT_EQ(tolerant.executions, 24u + 4 * 6u);
@@ -244,7 +242,7 @@ TEST(CrashSweep, EnumeratesEveryWorldAndCountsItsSchedules) {
 
   // Under the strict accept-all classifier every crashed-world execution is
   // a deadlock failure.
-  const FaultSweepTotals strict =
+  const SweepTotals strict =
       sweep_faulty_executions(g, p, FaultSpec::Crash(1), accept_all, {});
   EXPECT_EQ(strict.engine_failures, 4 * 6u);
 }
@@ -254,12 +252,12 @@ TEST(CrashSweep, TotalsAreThreadCountInvariant) {
   const testing::EchoIdProtocol p;
   ExhaustiveOptions serial;
   serial.threads = 1;
-  const FaultSweepTotals oracle = sweep_faulty_executions(
+  const SweepTotals oracle = sweep_faulty_executions(
       g, p, FaultSpec::Crash(2), crash_tolerant, serial);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     ExhaustiveOptions opts;
     opts.threads = threads;
-    const FaultSweepTotals totals = sweep_faulty_executions(
+    const SweepTotals totals = sweep_faulty_executions(
         g, p, FaultSpec::Crash(2), crash_tolerant, opts);
     EXPECT_EQ(totals.worlds, oracle.worlds);
     EXPECT_EQ(totals.executions, oracle.executions);
@@ -273,7 +271,7 @@ TEST(CrashSweep, ShardedCrashSweepMergesBitIdentically) {
   const Graph g = path_graph(4);
   const testing::EchoIdProtocol p;
   const FaultSpec faults = FaultSpec::Crash(1);
-  const FaultSweepTotals serial =
+  const SweepTotals serial =
       sweep_faulty_executions(g, p, faults, accept_all, {});
   for (const std::size_t shards : {1u, 2u, 4u}) {
     shard::PlanOptions popts;
@@ -306,7 +304,7 @@ TEST(CrashSweep, OnFailureSeesEveryFailureAndCanStopAcrossWorlds) {
   std::atomic<std::uint64_t> seen{0};
   ExhaustiveOptions opts;
   opts.threads = 4;
-  const FaultSweepTotals all = sweep_faulty_executions(
+  const SweepTotals all = sweep_faulty_executions(
       g, p, FaultSpec::Crash(1), accept_all, opts,
       [&](const ExecutionResult&, FaultVerdict v) {
         EXPECT_EQ(v, FaultVerdict::kDeadlockOrFault);
@@ -318,7 +316,7 @@ TEST(CrashSweep, OnFailureSeesEveryFailureAndCanStopAcrossWorlds) {
 
   // Returning false stops the serial sweep at world 1's first execution and
   // skips the remaining worlds.
-  const FaultSweepTotals stopped = sweep_faulty_executions(
+  const SweepTotals stopped = sweep_faulty_executions(
       g, p, FaultSpec::Crash(1), accept_all, {},
       [](const ExecutionResult&, FaultVerdict) { return false; });
   EXPECT_EQ(stopped.worlds, 2u);
@@ -411,7 +409,7 @@ TEST(FaultFirewall, DataErrorInComposeBecomesAFaultStatus) {
   EXPECT_EQ(r.status, RunStatus::kFault);
 
   // And a fault sweep tallies it as an engine failure instead of dying.
-  const FaultSweepTotals totals =
+  const SweepTotals totals =
       sweep_faulty_executions(g, p, FaultSpec::Crash(0), accept_all, {});
   EXPECT_EQ(totals.engine_failures, totals.executions);
 }
@@ -510,12 +508,15 @@ TEST(StatisticalVerdict, AdaptiveCrashCoinMatchesItsAnalyticRate) {
     StatisticalOptions opts;
     opts.trials = trials;
     opts.seed = 9;
-    const StatisticalTotals totals = run_statistical_verdict(
+    const SweepTotals totals = run_statistical_verdict(
         g, p, FaultSpec::Adaptive(9, trials), crashed_means_failure, opts);
-    EXPECT_EQ(totals.verdict.trials(), trials);
-    const WilsonInterval ci = totals.verdict.wilson();
+    ASSERT_TRUE(totals.sampled.has_value());
+    EXPECT_EQ(totals.sampled->trials(), trials);
+    EXPECT_EQ(totals.executions, trials);
+    EXPECT_EQ(totals.distinct, nullptr);  // a sampled sweep counts no boards
+    const WilsonInterval ci = totals.sampled->wilson();
     EXPECT_LE(ci.lo, 0.5) << trials << " trials: " << verdict_summary(
-        totals.verdict);
+        *totals.sampled);
     EXPECT_GE(ci.hi, 0.5) << trials << " trials";
   }
 }
@@ -528,14 +529,14 @@ TEST(StatisticalVerdict, TotalsAreThreadCountInvariant) {
   serial.trials = 512;
   serial.seed = 3;
   serial.threads = 1;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, serial);
   for (const std::size_t threads : {2u, 8u}) {
     StatisticalOptions opts = serial;
     opts.threads = threads;
-    const StatisticalTotals totals =
+    const SweepTotals totals =
         run_statistical_verdict(g, p, faults, crash_tolerant, opts);
-    EXPECT_EQ(totals.verdict, oracle.verdict);
+    EXPECT_EQ(totals.sampled, oracle.sampled);
     EXPECT_EQ(totals.engine_failures, oracle.engine_failures);
     EXPECT_EQ(totals.wrong_outputs, oracle.wrong_outputs);
   }
@@ -551,7 +552,7 @@ TEST(StatisticalVerdict, StridedShardSplitMergesToTheSingleStream) {
   StatisticalOptions single;
   single.trials = 300;
   single.seed = 17;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, single);
   for (const std::uint64_t stride : {2u, 3u, 5u}) {
     VerdictAccumulator merged;
@@ -560,12 +561,12 @@ TEST(StatisticalVerdict, StridedShardSplitMergesToTheSingleStream) {
       StatisticalOptions opts = single;
       opts.stride = stride;
       opts.offset = offset;
-      const StatisticalTotals shard =
+      const SweepTotals shard =
           run_statistical_verdict(g, p, faults, crash_tolerant, opts);
-      merged.merge(shard.verdict);
+      merged.merge(*shard.sampled);
       engine_failures += shard.engine_failures;
     }
-    EXPECT_EQ(merged, oracle.verdict) << "stride " << stride;
+    EXPECT_EQ(merged, *oracle.sampled) << "stride " << stride;
     EXPECT_EQ(engine_failures, oracle.engine_failures);
   }
 }
@@ -577,7 +578,7 @@ TEST(StatisticalVerdict, AdaptiveShardDocumentsMergeToTheSingleStream) {
   StatisticalOptions single;
   single.trials = 300;
   single.seed = 17;
-  const StatisticalTotals oracle =
+  const SweepTotals oracle =
       run_statistical_verdict(g, p, faults, crash_tolerant, single);
 
   shard::PlanOptions popts;
@@ -600,8 +601,8 @@ TEST(StatisticalVerdict, AdaptiveShardDocumentsMergeToTheSingleStream) {
   }
   std::reverse(results.begin(), results.end());
   const shard::MergedResult merged = shard::merge_shard_results(results);
-  EXPECT_EQ(merged.verdict_trials, oracle.verdict.trials());
-  EXPECT_EQ(merged.verdict_failures, oracle.verdict.failures());
+  EXPECT_EQ(merged.verdict_trials, oracle.sampled->trials());
+  EXPECT_EQ(merged.verdict_failures, oracle.sampled->failures());
   EXPECT_EQ(merged.faults, faults);
 }
 
@@ -654,7 +655,7 @@ TEST(FaultDocuments, CrashGoldenSpecAndResultRoundTripByteIdentically) {
   const std::string spec_text = data_file("faults_crash.0.shard");
   const shard::ShardSpec spec = shard::parse_shard_spec(spec_text);
   EXPECT_EQ(spec.faults, FaultSpec::Crash(1));
-  EXPECT_FALSE(spec.fault_tasks.empty());
+  EXPECT_FALSE(spec.tasks.empty());
   EXPECT_EQ(shard::serialize(spec), spec_text);
 
   const std::string result_text = data_file("faults_crash.0.result");
@@ -667,7 +668,7 @@ TEST(FaultDocuments, AdaptiveGoldenSpecAndResultRoundTripByteIdentically) {
   const std::string spec_text = data_file("faults_adaptive.0.shard");
   const shard::ShardSpec spec = shard::parse_shard_spec(spec_text);
   EXPECT_EQ(spec.faults.kind, FaultKind::kAdaptive);
-  EXPECT_TRUE(spec.fault_tasks.empty());  // statistical: no partition
+  EXPECT_TRUE(spec.tasks.empty());  // statistical: no partition
   EXPECT_EQ(shard::serialize(spec), spec_text);
 
   const std::string result_text = data_file("faults_adaptive.0.result");

@@ -31,6 +31,7 @@
 #include "src/protocols/two_cliques.h"
 #include "src/wb/distinct.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 #include "tests/wb/test_protocols.h"
 
 namespace wb {
@@ -42,9 +43,8 @@ using shard::ShardSpec;
 
 using Accept = std::function<bool(const ExecutionResult&)>;
 
-/// A typed empty accept callback: run_shard is overloaded on the classifier
-/// type (Accept vs FaultClassifier), so a bare nullptr is ambiguous.
-const Accept kNoAccept = nullptr;
+/// The canonical classifier with no output check: engine failures only.
+const FaultClassifier kNoAccept = accept_classifier();
 
 std::string data_file(const std::string& name) {
   const std::string path = std::string(WB_TEST_DATA_DIR) + "/" + name;
@@ -96,7 +96,8 @@ MergedResult run_sharded(const Graph& g, const Protocol& p,
     const std::string spec_text = shard::serialize(spec);
     const ShardSpec parsed = shard::parse_shard_spec(spec_text);
     EXPECT_EQ(shard::serialize(parsed), spec_text) << "spec round trip";
-    const ShardResult run = shard::run_shard(parsed, p, accept, threads);
+    const ShardResult run =
+        shard::run_shard(parsed, p, accept_classifier(accept), threads);
     const std::string result_text = shard::serialize(run);
     results.push_back(shard::parse_shard_result(result_text));
     EXPECT_EQ(shard::serialize(results.back()), result_text)
@@ -249,10 +250,11 @@ TEST(ShardOracle, PlanIsDeterministicAndTilesTheScheduleTree) {
   const std::vector<PrefixTask> tasks =
       partition_executions(g, p, EngineOptions{}, 4 * 4);
   std::size_t total = 0;
-  for (const auto& spec : once) total += spec.prefixes.size();
+  for (const auto& spec : once) total += spec.tasks.size();
   EXPECT_EQ(total, tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    EXPECT_EQ(once[t % 4].prefixes[t / 4], tasks[t]) << "task " << t;
+    EXPECT_EQ(once[t % 4].tasks[t / 4], (FaultTask{0, tasks[t]}))
+        << "task " << t;
   }
 }
 
@@ -544,13 +546,13 @@ TEST(ShardOracle, AcceptExceptionPropagatesOutOfRunShard) {
     EXPECT_THROW(
         (void)shard::run_shard(
             specs[0], p,
-            [&](const ExecutionResult&) -> bool {
+            accept_classifier([&](const ExecutionResult&) -> bool {
               if (invocations.fetch_add(1, std::memory_order_relaxed) + 1 ==
                   3) {
                 throw std::runtime_error("accept bailed");
               }
               return true;
-            },
+            }),
             threads),
         std::runtime_error)
         << "threads=" << threads;
@@ -643,7 +645,8 @@ TEST(ShardGolden, FrozenV1FilesAreRejectedAsAnUnsupportedVersion) {
 
 TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
   for (const char* name :
-       {"bad_magic.shard", "version_skew.shard", "bad_distinct.shard"}) {
+       {"bad_magic.shard", "version_skew.shard", "bad_distinct.shard",
+        "bad_prefixes_with_faults.shard"}) {
     EXPECT_THROW((void)shard::parse_shard_spec(data_file(name)), DataError)
         << name;
   }
@@ -656,6 +659,29 @@ TEST(ShardGolden, CommittedMalformedFixturesAreRejected) {
   EXPECT_THROW((void)shard::parse_shard_manifest(
                    data_file("version_skew.manifest")),
                DataError);
+}
+
+TEST(ShardGolden, FaultySpecsRefuseBarePrefixes) {
+  // A faulty spec's tasks live in `fprefixes` (crash, corrupt) or nowhere
+  // (adaptive); a nonzero `prefixes` section would be swept by nothing, so
+  // it is refused rather than silently ignored.
+  std::string adaptive = data_file("faults_adaptive.0.shard");
+  const std::size_t at = adaptive.find("prefixes 0\n");
+  ASSERT_NE(at, std::string::npos);
+  adaptive.replace(at, 11, "prefixes 1\nprefix 1 2\n");
+  for (const std::string& text :
+       {data_file("bad_prefixes_with_faults.shard"), adaptive}) {
+    try {
+      (void)shard::parse_shard_spec(text);
+      ADD_FAILURE() << "parsed:\n" << text;
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "'prefixes 1' in a faulty spec — only fault-free specs "
+                    "list bare prefixes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "src/protocols/bfs_sync.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
+#include "src/wb/faults.h"
 
 namespace wb {
 namespace {

@@ -39,7 +39,9 @@
 // `--listen` also accepts dial-in workers from other hosts; `--connect`
 // turns the worker's stdio frame loop into a TCP session with redial.
 //
-// Exit codes (src/cli/command.h): 0 PASS, 1 FAIL, 2 bad input, 3 wbsim bug.
+// Exit codes (src/cli/command.h): 0 PASS, 1 FAIL, 2 bad input, 3 wbsim bug,
+// 4 refused: the sweep exceeds its `budget=` (one message on every path —
+// in-process, memoize, shards=K, shard-merge, fleet run).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -352,11 +354,14 @@ wb::fleet::FleetObserver make_printing_observer() {
   return observer;
 }
 
-/// Render the fleet's outcomes in the shard-merge report shape (the
-/// schedules/verdict lines stay byte-diffable against `exhaustive:1`).
-int print_outcomes(const std::vector<wb::fleet::PlanOutcome>& outcomes) {
+/// Render the fleet's outcomes (one per plan, in plan order) in the
+/// shard-merge report shape (the schedules/verdict lines stay byte-diffable
+/// against `exhaustive:1`).
+int print_outcomes(const std::vector<wb::fleet::PlanOutcome>& outcomes,
+                   const std::vector<wb::fleet::PlanInputs>& plans) {
   int exit_code = kExitPass;
-  for (const wb::fleet::PlanOutcome& outcome : outcomes) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const wb::fleet::PlanOutcome& outcome = outcomes[i];
     if (outcomes.size() > 1) std::printf("plan       %s\n", outcome.name.c_str());
     if (outcome.reissues > 0) {
       std::printf("fleet      %zu shard dispatches were re-issues\n",
@@ -371,11 +376,12 @@ int print_outcomes(const std::vector<wb::fleet::PlanOutcome>& outcomes) {
       continue;
     }
     if (outcome.budget_exceeded) {
-      // The serial oracle throws BudgetExceededError here; keep the same
-      // observable exit behavior (internal error, code 3).
-      std::printf("internal error: plan %s exceeded its execution budget\n",
-                  outcome.name.c_str());
-      exit_code = std::max(exit_code, wb::cli::kExitBug);
+      // The in-process sweep throws BudgetExceededError here; refuse the
+      // same way.
+      std::printf("%s\n", wb::cli::budget_refusal(
+                               plans[i].manifest.max_executions)
+                               .c_str());
+      exit_code = std::max(exit_code, wb::cli::kExitBudget);
       continue;
     }
     exit_code = std::max(exit_code, print_merged(outcome.merged));
@@ -416,7 +422,7 @@ int run_fleet_exhaustive(const wb::Graph& g, const std::string& protocol,
   const auto outcomes =
       wb::fleet::run_fleet({plan}, options.fleet, make_self_launcher(options),
                            make_printing_observer());
-  return print_outcomes(outcomes);
+  return print_outcomes(outcomes, {plan});
 }
 
 int cmd_fleet_run(std::vector<std::string> args) {
@@ -462,7 +468,7 @@ int cmd_fleet_run(std::vector<std::string> args) {
   const auto outcomes = wb::fleet::run_fleet(
       plans, options.fleet, launcher, make_printing_observer(),
       listener ? &*listener : nullptr);
-  return print_outcomes(outcomes);
+  return print_outcomes(outcomes, plans);
 }
 
 int cmd_fleet_worker(std::vector<std::string> args) {
@@ -564,12 +570,10 @@ int cmd_shard_plan(const std::vector<std::string>& args) {
     if (spec.faults.kind == wb::FaultKind::kAdaptive) {
       std::printf("wrote %s (statistical stride %u/%u)\n", path.c_str(),
                   spec.shard_index, spec.shard_count);
-    } else if (spec.faults.kind != wb::FaultKind::kNone) {
-      std::printf("wrote %s (%zu fault subtree prefixes)\n", path.c_str(),
-                  spec.fault_tasks.size());
     } else {
-      std::printf("wrote %s (%zu subtree prefixes)\n", path.c_str(),
-                  spec.prefixes.size());
+      std::printf("wrote %s (%zu %ssubtree prefixes)\n", path.c_str(),
+                  spec.tasks.size(),
+                  spec.faults.kind == wb::FaultKind::kNone ? "" : "fault ");
     }
   }
   const std::string manifest_path = base + ".manifest";
