@@ -11,11 +11,15 @@
 //    again with peak_over_csr.
 //  - The BFS reference oracle at scale (the verdict checker protocols are
 //    measured against): edges/s and traversal rounds.
-//  - Frontier-aware sync rounds vs the reference engine on a sparse-frontier
-//    instance (sync-bfs on a star: after the hub writes, every later round
-//    touches one leaf whose whole neighborhood is already written, so the
-//    frontier engine recomposes nothing while the reference engine rescans
-//    every active leaf). `rounds_per_s` is the headline ratio.
+//  - The engine's two rounds on a sparse-frontier instance (sync-bfs on a
+//    star: after the hub writes, every later round touches one leaf whose
+//    whole neighborhood is already written, so the frontier round
+//    recomposes nothing while the reference round rescans every active
+//    leaf). A journaling state runs the reference round, any other state
+//    the frontier round. `rounds_per_s` is the headline ratio.
+//  - One sync-bfs execution on rmat:12:16 under a random adversary, the
+//    `rmat_bfs` workload of perfbench: its `rounds_per_s` should agree with
+//    the end-to-end number.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +32,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/protocols/bfs_sync.h"
+#include "src/wb/adversary.h"
 #include "src/wb/engine.h"
 
 namespace wb {
@@ -113,34 +118,57 @@ void BM_BfsOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsOracle)->DenseRange(16, 20, 2)->Unit(benchmark::kMillisecond);
 
-void sync_bfs_star_rounds(benchmark::State& state, bool frontier) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph g = star_graph(n);
+/// run_protocol's loop on a state that journals (the reference round) or
+/// not (the frontier round). Returns the rounds stepped.
+std::size_t run_sync_bfs(const Graph& g, Adversary& adv, bool journaling) {
   const SyncBfsProtocol p;
-  EngineOptions opts;
-  opts.frontier = frontier;
-  std::size_t rounds = 0;
-  for (auto _ : state) {
-    const ExecutionResult r = run_protocol(g, p, opts);
-    WB_CHECK(r.ok());
-    rounds = r.stats.rounds;
+  adv.reset();
+  EngineState s(g, p);
+  s.set_journaling(journaling);
+  while (true) {
+    s.begin_round();
+    if (s.terminal()) break;
+    s.write(adv.choose(s.candidates(), s.board(), s.round()));
   }
+  const ExecutionResult r = std::move(s).finish();
+  WB_CHECK(r.ok());
+  return r.stats.rounds;
+}
+
+void set_rounds_per_s(benchmark::State& state, std::size_t rounds) {
   state.counters["rounds_per_s"] = benchmark::Counter(
       static_cast<double>(rounds * static_cast<std::size_t>(state.iterations())),
       benchmark::Counter::kIsRate);
 }
 
+void sync_bfs_star_rounds(benchmark::State& state, bool journaling) {
+  const Graph g = star_graph(static_cast<std::size_t>(state.range(0)));
+  FirstAdversary first;
+  std::size_t rounds = 0;
+  for (auto _ : state) rounds = run_sync_bfs(g, first, journaling);
+  set_rounds_per_s(state, rounds);
+}
+
 void BM_SyncBfsStarReference(benchmark::State& state) {
-  sync_bfs_star_rounds(state, /*frontier=*/false);
+  sync_bfs_star_rounds(state, /*journaling=*/true);
 }
 BENCHMARK(BM_SyncBfsStarReference)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SyncBfsStarFrontier(benchmark::State& state) {
-  sync_bfs_star_rounds(state, /*frontier=*/true);
+  sync_bfs_star_rounds(state, /*journaling=*/false);
 }
 BENCHMARK(BM_SyncBfsStarFrontier)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SyncBfsRmat(benchmark::State& state) {
+  const Graph g = rmat_graph(static_cast<int>(state.range(0)), kEdgeFactor, 7);
+  RandomAdversary random(7);
+  std::size_t rounds = 0;
+  for (auto _ : state) rounds = run_sync_bfs(g, random, /*journaling=*/false);
+  set_rounds_per_s(state, rounds);
+}
+BENCHMARK(BM_SyncBfsRmat)->Arg(12)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace wb

@@ -1,6 +1,7 @@
 #include "src/protocols/bfs_sync.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/protocols/codec.h"
@@ -22,6 +23,7 @@ struct ParsedBoard {
   std::vector<Entry> entries;
   std::vector<int> layer_of;              // by id; -1 unwritten
   std::vector<bool> written;              // by id
+  NodeId first_unwritten = 1;             // min unwritten id; n+1 if none
   std::vector<std::uint64_t> sum_dminus;  // by layer
   std::vector<std::uint64_t> sum_d0;      // by layer
   std::vector<std::uint64_t> sum_dplus;   // by layer
@@ -40,17 +42,25 @@ Entry parse_message(const Bits& m, std::size_t n) {
   return e;
 }
 
-ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
+ParsedBoard empty_board(std::size_t n) {
   ParsedBoard p;
   p.layer_of.assign(n + 1, -1);
   p.written.assign(n + 1, false);
   p.sum_dminus.assign(n + 2, 0);
   p.sum_d0.assign(n + 2, 0);
   p.sum_dplus.assign(n + 2, 0);
-  for (const Bits& m : board.messages()) {
+  return p;
+}
+
+/// Fold appended messages into `p`, checking each one as it arrives.
+void absorb(ParsedBoard& p, std::span<const Bits> appended, std::size_t n) {
+  for (const Bits& m : appended) {
     Entry e = parse_message(m, n);
     WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
     p.written[e.id] = true;
+    while (p.first_unwritten <= n && p.written[p.first_unwritten]) {
+      ++p.first_unwritten;
+    }
     WB_REQUIRE_MSG(e.layer >= 0 && static_cast<std::size_t>(e.layer) < n,
                    "layer out of range");
     p.layer_of[e.id] = e.layer;
@@ -60,7 +70,16 @@ ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
     p.sum_dplus[l] += e.dplus;
     p.entries.push_back(std::move(e));
   }
-  return p;
+}
+
+/// The board's decoded view, extended over the messages appended since the
+/// last call.
+const ParsedBoard& parsed(const Whiteboard& board, std::size_t n) {
+  return board.cached_view<ParsedBoard>(
+      [n] { return empty_board(n); },
+      [n](ParsedBoard& p, std::span<const Bits> appended) {
+        absorb(p, appended, n);
+      });
 }
 
 /// Edges promised from layer ℓ to layer ℓ+1: Σ d+1 − 2·Σ d0 over L_ℓ.
@@ -89,13 +108,6 @@ int min_written_neighbor_layer(const LocalView& view, const ParsedBoard& p) {
   return best;
 }
 
-bool is_min_unwritten(const LocalView& view, const ParsedBoard& p) {
-  for (NodeId u = 1; u < view.id(); ++u) {
-    if (!p.written[u]) return false;
-  }
-  return !p.written[view.id()];
-}
-
 }  // namespace
 
 std::size_t SyncBfsProtocol::message_bit_limit(std::size_t n) const {
@@ -107,8 +119,7 @@ std::size_t SyncBfsProtocol::message_bit_limit(std::size_t n) const {
 bool SyncBfsProtocol::activate(const LocalView& view,
                                const Whiteboard& board) const {
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.entries.empty()) return view.id() == 1;
 
   // Conditions (a)+(b): some neighbor wrote and its layer is complete.
@@ -122,7 +133,7 @@ bool SyncBfsProtocol::activate(const LocalView& view,
   if (view.has_neighbor(last.id)) return false;
   const auto lw = static_cast<std::size_t>(last.layer);
   return layer_certificate(p, lw) && no_pending_edges(p, lw) &&
-         is_min_unwritten(view, p);
+         p.first_unwritten == view.id();
 }
 
 Bits SyncBfsProtocol::compose(const LocalView& view,
@@ -134,8 +145,7 @@ Bits SyncBfsProtocol::compose(const LocalView& view,
 Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
                               BitWriter& scratch) const {
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
 
   int min_layer = -1;
   for (NodeId u : view.neighbors()) {
@@ -169,8 +179,7 @@ Bits SyncBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
 
 BfsProtocolOutput SyncBfsProtocol::output(const Whiteboard& board,
                                           std::size_t n) const {
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   WB_REQUIRE_MSG(p.entries.size() == n,
                  "expected " << n << " messages, got " << p.entries.size());
   BfsProtocolOutput out;

@@ -47,10 +47,10 @@ class SyncBfsProtocol final : public ProtocolWithOutput<BfsProtocolOutput> {
   [[nodiscard]] BfsProtocolOutput output(const Whiteboard& board,
                                          std::size_t n) const override;
   /// compose reads only the layers of written *neighbors* (plus the local
-  /// view), so the frontier engine may skip recomposing nodes whose
+  /// view), so the frontier round may skip recomposing nodes whose
   /// neighborhood did not write. activate is global — the layer certificates
-  /// sum over whole layers and condition (c) inspects all smaller IDs — so
-  /// it stays unclaimed.
+  /// sum over whole layers and condition (c) needs the minimum unwritten ID
+  /// — so it stays unclaimed.
   [[nodiscard]] FrontierLocality frontier_locality() const override {
     return {.activate_neighbor_local = false, .compose_neighbor_local = true};
   }

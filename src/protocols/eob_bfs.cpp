@@ -1,6 +1,7 @@
 #include "src/protocols/eob_bfs.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/protocols/codec.h"
@@ -26,6 +27,7 @@ struct ParsedBoard {
   std::vector<Entry> entries;              // in write order
   std::vector<int> layer_of;               // by id; -1 if unwritten/invalid
   std::vector<bool> written;               // by id (any kind)
+  NodeId first_unwritten = 1;              // min unwritten id; n+1 if none
   std::vector<std::uint64_t> sum_dminus;   // by layer
   std::vector<std::uint64_t> sum_dplus;    // by layer
 };
@@ -45,16 +47,24 @@ Entry parse_message(const Bits& m, std::size_t n) {
   return e;
 }
 
-ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
+ParsedBoard empty_board(std::size_t n) {
   ParsedBoard p;
   p.layer_of.assign(n + 1, -1);
   p.written.assign(n + 1, false);
   p.sum_dminus.assign(n + 2, 0);
   p.sum_dplus.assign(n + 2, 0);
-  for (const Bits& m : board.messages()) {
+  return p;
+}
+
+/// Fold appended messages into `p`, checking each one as it arrives.
+void absorb(ParsedBoard& p, std::span<const Bits> appended, std::size_t n) {
+  for (const Bits& m : appended) {
     Entry e = parse_message(m, n);
     WB_REQUIRE_MSG(!p.written[e.id], "node " << e.id << " wrote twice");
     p.written[e.id] = true;
+    while (p.first_unwritten <= n && p.written[p.first_unwritten]) {
+      ++p.first_unwritten;
+    }
     if (e.kind == kKindInvalid) {
       p.invalid_seen = true;
     } else {
@@ -66,7 +76,16 @@ ParsedBoard parse_board(const Whiteboard& board, std::size_t n) {
     }
     p.entries.push_back(std::move(e));
   }
-  return p;
+}
+
+/// The board's decoded view, extended over the messages appended since the
+/// last call.
+const ParsedBoard& parsed(const Whiteboard& board, std::size_t n) {
+  return board.cached_view<ParsedBoard>(
+      [n] { return empty_board(n); },
+      [n](ParsedBoard& p, std::span<const Bits> appended) {
+        absorb(p, appended, n);
+      });
 }
 
 /// Layer ℓ complete: all its nodes' back-edges account for every edge the
@@ -99,13 +118,6 @@ int min_written_neighbor_layer(const LocalView& view, const ParsedBoard& p) {
   return best;
 }
 
-bool is_min_unwritten(const LocalView& view, const ParsedBoard& p) {
-  for (NodeId u = 1; u < view.id(); ++u) {
-    if (!p.written[u]) return false;
-  }
-  return !p.written[view.id()];
-}
-
 }  // namespace
 
 std::size_t EobBfsProtocol::message_bit_limit(std::size_t n) const {
@@ -120,8 +132,7 @@ bool EobBfsProtocol::activate(const LocalView& view,
     return true;  // report the invalid input immediately
   }
   const std::size_t n = view.n();
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.invalid_seen) return true;  // echo so the system drains
 
   if (p.entries.empty()) return view.id() == 1;  // v_1 starts
@@ -139,7 +150,7 @@ bool EobBfsProtocol::activate(const LocalView& view,
   if (view.has_neighbor(last.id)) return false;
   const auto lw = static_cast<std::size_t>(last.layer);
   return layer_certificate(p, lw) && no_pending_edges(p, lw) &&
-         is_min_unwritten(view, p);
+         p.first_unwritten == view.id();
 }
 
 Bits EobBfsProtocol::compose(const LocalView& view,
@@ -156,8 +167,7 @@ Bits EobBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
     codec::write_id(w, view.id(), n);
     return w.take();
   }
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   if (p.invalid_seen) {
     w.write_uint(kKindInvalid, 1);
     codec::write_id(w, view.id(), n);
@@ -190,8 +200,7 @@ Bits EobBfsProtocol::compose(const LocalView& view, const Whiteboard& board,
 
 BfsProtocolOutput EobBfsProtocol::output(const Whiteboard& board,
                                          std::size_t n) const {
-  const ParsedBoard& p = board.cached_view<ParsedBoard>(
-      [n](const Whiteboard& b) { return parse_board(b, n); });
+  const ParsedBoard& p = parsed(board, n);
   BfsProtocolOutput out;
   if (p.invalid_seen) {
     out.valid = false;

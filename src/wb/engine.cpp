@@ -22,10 +22,6 @@ EngineState::EngineState(const Graph& g, const Protocol& p, EngineOptions opts)
   board_.reserve(n_);
   write_order_.reserve(n_);
   candidates_.reserve(n_);
-  if (opts_.frontier) {
-    awake_ids_.resize(n_);
-    std::iota(awake_ids_.begin(), awake_ids_.end(), NodeId{1});
-  }
 }
 
 void EngineState::trace(TraceEvent::Kind kind, NodeId v) {
@@ -64,10 +60,6 @@ void EngineState::set_journaling(bool on) {
   // silently cross into unrecorded history.
   WB_CHECK_MSG(!on || (journal_.empty() && round_ == 0),
                "enable journaling before the first begin_round()");
-  // Frontier mode mutates the candidate buffer and awake list incrementally;
-  // rewind() does not restore them, so the combination is rejected outright.
-  WB_CHECK_MSG(!on || !opts_.frontier,
-               "journaling is incompatible with frontier mode");
   journaling_ = on;
   if (!on) journal_.clear();
 }
@@ -159,6 +151,16 @@ void EngineState::compose_into(NodeId v) {
 
 void EngineState::begin_round() {
   if (terminal()) return;
+  if (round_ == 0) {
+    // The round implementation is fixed here: set_journaling() is legal only
+    // at round 0, so the choice holds for every later round. (A rewind to
+    // round 0 restores a virgin state, where choosing again is harmless.)
+    frontier_ = !journaling_;
+    if (frontier_) {
+      awake_ids_.resize(n_);
+      std::iota(awake_ids_.begin(), awake_ids_.end(), NodeId{1});
+    }
+  }
   ++round_;
   wrote_this_round_ = false;
   stats_.rounds = round_;
@@ -166,7 +168,7 @@ void EngineState::begin_round() {
     fail(RunStatus::kProtocolError, "round limit exceeded without progress");
     return;
   }
-  if (opts_.frontier) {
+  if (frontier_) {
     begin_round_frontier();
   } else {
     begin_round_reference();
@@ -373,9 +375,9 @@ void EngineState::write(std::size_t index) {
   WB_CHECK_MSG(index < candidates_.size(), "adversary chose a non-candidate");
   const NodeId v = candidates_[index];
   write_node(v);
-  // Frontier mode maintains the candidate buffer incrementally (write_node
-  // removed v); the reference engine rebuilds it from scratch every round.
-  if (!opts_.frontier) candidates_.clear();
+  // The frontier round maintains the candidate buffer incrementally
+  // (write_node removed v); the reference round rebuilds it every round.
+  if (!frontier_) candidates_.clear();
 }
 
 void EngineState::write_node(NodeId v) {
@@ -395,7 +397,7 @@ void EngineState::write_node(NodeId v) {
   ++stats_.writes;
   write_order_.push_back(v);
   trace(TraceEvent::Kind::kWrite, v);
-  if (opts_.frontier) {
+  if (frontier_) {
     pending_writer_ = v;
     const auto it =
         std::lower_bound(candidates_.begin(), candidates_.end(), v);

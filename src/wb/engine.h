@@ -91,15 +91,6 @@ struct EngineOptions {
   /// Safety valve; 0 = automatic (writes can't exceed n, so 2n+8 rounds).
   std::size_t max_rounds = 0;
   bool record_trace = false;
-  /// Frontier-aware rounds: instead of rescanning all n nodes every round,
-  /// the engine tracks the awake/active sets incrementally and — where the
-  /// protocol's FrontierLocality contract allows — only re-activates and
-  /// recomposes nodes adjacent to the last writer, switching between
-  /// iterating the writer's neighbor list (top-down) and scanning the
-  /// tracked population (bottom-up) on frontier density. Executions are
-  /// bit-identical to the reference rounds. Incompatible with journaling
-  /// (the exhaustive explorer's rewind path keeps the reference engine).
-  bool frontier = false;
 };
 
 /// Stepwise engine state. Copyable (copies are O(n) — the board is shared
@@ -107,6 +98,19 @@ struct EngineOptions {
 /// engine records an undo entry for every mutation, so the exhaustive
 /// explorer can branch by checkpoint()/rewind() on one state instead of
 /// copying it per branch. Typical use is through run_protocol below.
+///
+/// The round implementation is chosen once, at the first begin_round(), from
+/// whether the state journals:
+///  - journaling states run the *reference* round, which rescans all n nodes
+///    every round and records an undo entry for each mutation;
+///  - every other state runs the *frontier* round: it tracks the awake and
+///    active sets incrementally and, where the protocol's FrontierLocality
+///    contract allows, only re-activates and recomposes nodes adjacent to
+///    the last writer, switching between iterating the writer's neighbor
+///    list (top-down) and scanning the tracked population (bottom-up) on
+///    frontier density. rewind() restores neither set, which is why the
+///    rewinding explorer keeps the reference round.
+/// Both rounds produce bit-identical executions (tests/wb/frontier_test.cpp).
 class EngineState {
  public:
   EngineState(const Graph& g, const Protocol& p, EngineOptions opts = {});
@@ -171,7 +175,8 @@ class EngineState {
 
   /// Start recording undo entries. Enable once, before the first
   /// begin_round(); checkpoints only reach back to mutations made while
-  /// journaling was on.
+  /// journaling was on. A state journaling at its first begin_round() runs
+  /// the reference round for its whole life (see the class comment).
   void set_journaling(bool on);
 
   [[nodiscard]] Checkpoint checkpoint() const;
@@ -242,7 +247,8 @@ class EngineState {
   bool journaling_ = false;
   std::vector<UndoRecord> journal_;
 
-  // --- Frontier mode (opts_.frontier) ---
+  // --- Frontier round (fixed at the first begin_round(): !journaling_) ---
+  bool frontier_ = false;
   /// The protocol's locality contract, cached at construction.
   FrontierLocality locality_;
   /// Writer of the previous round, kNoNode if that round wrote nothing.

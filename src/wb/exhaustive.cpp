@@ -256,8 +256,14 @@ MemoizedTotals sweep_memoized(
       MemoEntry leaf{1, 0, 0};
       if (!scratch.ok()) {
         leaf.engine_failures = 1;
-      } else if (!judge(scratch)) {
-        leaf.wrong_outputs = 1;
+      } else {
+        try {
+          if (!judge(scratch)) leaf.wrong_outputs = 1;
+        } catch (const DataError&) {
+          // A decoder rejecting the final board is an engine failure, as
+          // in the enumerator's fault classifier, not the end of the sweep.
+          leaf.engine_failures = 1;
+        }
       }
       distinct->insert(scratch.board.content_hash());
       state.rewind(pre_round);

@@ -155,7 +155,7 @@ std::uint64_t for_each_execution_under(
 /// how much the memo collapsed the schedule tree.
 struct MemoizedTotals {
   std::uint64_t executions = 0;
-  std::uint64_t engine_failures = 0;  // non-success terminal statuses
+  std::uint64_t engine_failures = 0;  // non-success, or judge threw DataError
   std::uint64_t wrong_outputs = 0;    // successful but judge(result) == false
   std::uint64_t distinct = 0;         // distinct final boards, per opts.distinct
   std::uint64_t states_explored = 0;  // distinct non-terminal states expanded
@@ -172,7 +172,9 @@ struct MemoizedTotals {
 /// collapse factorially. Honors opts.max_executions with the same
 /// observable as the unmemoized sweep (throws BudgetExceededError iff it
 /// would); requires opts.threads == 1 and fault-free engine options.
-/// `judge` is invoked once per distinct terminal state, not per execution.
+/// `judge` is invoked once per distinct terminal state, not per execution;
+/// a DataError it throws (a decoder rejecting the board) counts the
+/// execution as an engine failure, as the enumerator's classifier does.
 [[nodiscard]] MemoizedTotals sweep_memoized(
     const Graph& g, const Protocol& p,
     const std::function<bool(const ExecutionResult&)>& judge,

@@ -57,23 +57,25 @@ class Whiteboard {
     entries_->reserve(message_capacity);
   }
 
+  /// Appends keep the cached view: it describes a prefix of the new board,
+  /// and the next cached_view() call extends it over the new messages.
   void append(Bits message) {
     total_bits_ += message.size();
     own_tail();
     entries_->push_back(std::move(message));
     ++count_;
-    cache_.reset();  // any append invalidates decoded views
   }
 
   /// Drop every message past the first `new_count`. O(messages dropped).
-  /// Cached views of prefixes that survive stay valid (they are keyed by
-  /// message count and the prefix is immutable).
+  /// A cached view of a prefix that survives stays valid (the prefix is
+  /// immutable); a view that covers dropped messages is dropped with them.
   void truncate(std::size_t new_count) {
     WB_CHECK(new_count <= count_);
     for (std::size_t i = new_count; i < count_; ++i) {
       total_bits_ -= (*entries_)[i].size();
     }
     count_ = new_count;
+    if (cache_ != nullptr && cache_->count > count_) cache_.reset();
     if (entries_ != nullptr && entries_.use_count() == 1) {
       entries_->resize(count_);  // sole owner: free the dead tail now
     }
@@ -111,32 +113,48 @@ class Whiteboard {
     return h.digest();
   }
 
-  /// Memoized decoded view of the board.
+  /// Memoized decoded view of the board, extended on append.
   ///
   /// Protocol callbacks are invoked O(n) times per round on the same
-  /// whiteboard; parsing the full board in each call makes a run O(n³).
-  /// Because the board is append-only and immutable between appends, a
-  /// decoded view keyed by (view type, message count) stays valid until the
-  /// next append — `append` drops it. Copying a Whiteboard shares the cache
-  /// (both copies hold the same prefix), which is exactly what snapshotting
-  /// a board mid-exploration needs. The slot is a single allocation; the
-  /// view type is identified by a tagged static, not typeid.
-  ///
-  /// The factory must be a pure function of the board contents (same
-  /// requirement §2 places on act/msg themselves).
-  template <typename T, typename Factory>
-  const T& cached_view(const Factory& factory) const {
-    if (cache_ == nullptr || cache_->tag != type_tag<T>() ||
-        cache_->count != count_) {
-      auto slot = std::make_shared<CacheSlot<T>>();
-      slot->tag = type_tag<T>();
-      slot->count = count_;
-      slot->value = factory(*this);
-      const T& ref = slot->value;
-      cache_ = std::move(slot);
-      return ref;
+  /// whiteboard, and the board grows by one message per round. The view is
+  /// one slot keyed by (view type, message count): `init()` returns the view
+  /// of the empty board, and `extend(view, appended)` folds the messages
+  /// past the slot's count into it. So a long run decodes each message once
+  /// instead of re-decoding the whole board after every append.
+  ///  - A slot this board alone holds is extended in place.
+  ///  - A slot shared with a copy (an ExecutionResult snapshot, an explorer
+  ///    branch) is never mutated: this board rebuilds its own from `init()`.
+  ///  - truncate() drops a slot that covers dropped messages.
+  ///  - If `extend` throws, the slot is dropped, so the next call rebuilds
+  ///    and throws at the same message.
+  /// The slot is a single allocation; the view type is identified by a
+  /// tagged static, not typeid. Folding a board in one call or in several
+  /// must give the same view, and `extend` must be a pure function of the
+  /// view and the messages (the requirement §2 places on act/msg).
+  template <typename T, typename Init, typename Extend>
+  const T& cached_view(const Init& init, const Extend& extend) const {
+    if (cache_ != nullptr && cache_->tag == type_tag<T>()) {
+      auto* slot = static_cast<CacheSlot<T>*>(cache_.get());
+      if (slot->count == count_) return slot->value;
+      if (cache_.use_count() == 1) {
+        try {
+          extend(slot->value, messages().subspan(slot->count));
+        } catch (...) {
+          cache_.reset();
+          throw;
+        }
+        slot->count = count_;
+        return slot->value;
+      }
     }
-    return static_cast<const CacheSlot<T>*>(cache_.get())->value;
+    auto slot = std::make_shared<CacheSlot<T>>();
+    slot->tag = type_tag<T>();
+    slot->count = count_;
+    slot->value = init();
+    extend(slot->value, messages());
+    const T& ref = slot->value;
+    cache_ = std::move(slot);
+    return ref;
   }
 
  private:
@@ -181,7 +199,7 @@ class Whiteboard {
   std::shared_ptr<std::vector<Bits>> entries_;
   std::size_t count_ = 0;
   std::size_t total_bits_ = 0;
-  mutable std::shared_ptr<const CacheBase> cache_;
+  mutable std::shared_ptr<CacheBase> cache_;
 };
 
 }  // namespace wb

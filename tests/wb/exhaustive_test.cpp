@@ -655,5 +655,74 @@ TEST(MemoizedSweep, MemoizedReportLinesMatchTheOracleTable) {
   }
 }
 
+/// SIMASYNC: every node writes its degree, anonymously, so schedules that
+/// differ only in the order of equal-degree nodes converge and the memo
+/// collapses them. The decoder rejects (DataError) every board whose first
+/// message is the maximum degree; otherwise the output is the second
+/// message's degree.
+class RejectsHubFirstProtocol final : public SimAsyncProtocol<std::uint64_t> {
+ public:
+  [[nodiscard]] std::size_t message_bit_limit(std::size_t) const override {
+    return 8;
+  }
+  [[nodiscard]] Bits compose_initial(const LocalView& view) const override {
+    BitWriter w;
+    w.write_uint(view.degree(), 8);
+    return w.take();
+  }
+  [[nodiscard]] std::uint64_t output(const Whiteboard& board,
+                                     std::size_t) const override {
+    std::vector<std::uint64_t> degrees;
+    for (const Bits& m : board.messages()) {
+      BitReader r(m);
+      degrees.push_back(r.read_uint(8));
+    }
+    WB_REQUIRE_MSG(
+        degrees.front() != *std::max_element(degrees.begin(), degrees.end()),
+        "board opens with the maximum degree");
+    return degrees[1];
+  }
+  [[nodiscard]] std::string name() const override {
+    return "rejects-hub-first";
+  }
+};
+
+TEST(MemoizedSweep, DecoderErrorsCountAsEngineFailuresLikeTheEnumerator) {
+  // star:5 has 5! = 120 schedules. The hub writes first on 24 of them (the
+  // decoder throws) and second on 24 (the judge says wrong).
+  const Graph g = graph_from_spec("star:5");
+  const RejectsHubFirstProtocol p;
+  const auto judge = [&p](const ExecutionResult& r) {
+    return p.output(r.board, 5) != 4;
+  };
+  ExhaustiveOptions opts;
+  opts.threads = 1;
+  const MemoizedTotals memo = sweep_memoized(g, p, judge, opts);
+
+  // The enumerator judges through the fault classifier, which counts a
+  // decoder's DataError as an engine failure.
+  const FaultClassifier classify = [&judge](const ExecutionResult& r,
+                                            std::span<const NodeId>) {
+    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
+    try {
+      return judge(r) ? FaultVerdict::kCorrect : FaultVerdict::kWrongOutput;
+    } catch (const DataError&) {
+      return FaultVerdict::kDeadlockOrFault;
+    }
+  };
+  const SweepTotals oracle =
+      sweep_faulty_executions(g, p, FaultSpec{}, classify, opts);
+
+  EXPECT_EQ(memo.executions, 120u);
+  EXPECT_EQ(memo.engine_failures, 24u);
+  EXPECT_EQ(memo.wrong_outputs, 24u);
+  EXPECT_GT(memo.memo_hits, 0u);
+  EXPECT_EQ(exhaustive_summary_lines(memo.executions, memo.engine_failures,
+                                     memo.wrong_outputs, memo.distinct),
+            exhaustive_summary_lines(oracle.executions, oracle.engine_failures,
+                                     oracle.wrong_outputs,
+                                     oracle.distinct->estimate()));
+}
+
 }  // namespace
 }  // namespace wb::cli

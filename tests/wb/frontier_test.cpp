@@ -1,11 +1,13 @@
-// Frontier-engine equivalence: EngineOptions::frontier must be a pure
-// optimization. Every suite here runs the frontier engine in lockstep with
-// the reference engine — same graph, same protocol, same adversary choices —
-// and requires bit-identical observables at every round: candidate sets,
-// whiteboard contents, terminal status, error strings, stats, write order,
-// and trace. The exhaustive suites branch over *every* adversary schedule on
-// small instances, so a locality claim a protocol does not honor (or a
-// frontier bookkeeping bug) cannot hide behind one lucky ordering.
+// Frontier-round equivalence: the engine runs the frontier round whenever a
+// state does not journal and the reference round when it does, and the
+// choice must be a pure optimization. Every suite here runs a journaling
+// (reference) state in lockstep with a plain (frontier) state — same graph,
+// same protocol, same adversary choices — and requires bit-identical
+// observables at every round: candidate sets, whiteboard contents, terminal
+// status, error strings, stats, write order, and trace. The exhaustive
+// suites branch over *every* adversary schedule on small instances, so a
+// locality claim a protocol does not honor (or a frontier bookkeeping bug)
+// cannot hide behind one lucky ordering.
 #include <algorithm>
 #include <vector>
 
@@ -28,7 +30,11 @@ void ExpectSameResult(const ExecutionResult& ref, const ExecutionResult& fro) {
   EXPECT_EQ(ref.status, fro.status);
   EXPECT_EQ(ref.error, fro.error);
   ASSERT_EQ(ref.board.message_count(), fro.board.message_count());
-  EXPECT_EQ(ref.board.content_hash(), fro.board.content_hash());
+  for (std::size_t i = 0; i < ref.board.message_count(); ++i) {
+    EXPECT_TRUE(ref.board.message(i) == fro.board.message(i))
+        << "message " << i;
+  }
+  EXPECT_EQ(ref.board.total_bits(), fro.board.total_bits());
   EXPECT_EQ(ref.write_order, fro.write_order);
   EXPECT_EQ(ref.stats.rounds, fro.stats.rounds);
   EXPECT_EQ(ref.stats.writes, fro.stats.writes);
@@ -44,16 +50,23 @@ void ExpectSameResult(const ExecutionResult& ref, const ExecutionResult& fro) {
   }
 }
 
+constexpr EngineOptions kTraced{.record_trace = true};
+
+/// A state that runs the reference round: journaling selects it.
+EngineState ReferenceState(const Graph& g, const Protocol& p) {
+  EngineState s(g, p, kTraced);
+  s.set_journaling(true);
+  return s;
+}
+
 /// Explores every adversary schedule, advancing a reference state and a
 /// frontier state in lockstep and comparing all observables at each round.
-/// Branching copies both states (EngineState copies are cheap; the frontier
-/// engine does not support journaling, by design).
+/// Branching copies both states (EngineState copies are cheap; a frontier
+/// state cannot rewind, so copying is the one way to branch it).
 class LockstepExplorer {
  public:
   LockstepExplorer(const Graph& g, const Protocol& p) : graph_(g) {
-    EngineOptions ref_opts{.record_trace = true};
-    EngineOptions fro_opts{.record_trace = true, .frontier = true};
-    Explore(EngineState(g, p, ref_opts), EngineState(g, p, fro_opts));
+    Explore(ReferenceState(g, p), EngineState(g, p, kTraced));
   }
 
   [[nodiscard]] std::size_t executions() const { return executions_; }
@@ -145,7 +158,7 @@ TEST(FrontierEquivalence, GossipCountExhaustive) {
   ExhaustiveEquivalence(testing::GossipCountProtocol{});
 }
 
-// Protocols with no locality claim (frontier mode must fall back to full
+// Protocols with no locality claim (the frontier round must fall back to full
 // rescans and still match), including async, deadlocking, overflowing, and
 // class-violating specimens:
 
@@ -195,13 +208,21 @@ TEST(FrontierEquivalence, LazySimSyncProtocolErrorExhaustive) {
 
 // --- Deep single-schedule runs on larger instances ---
 
+/// run_protocol's loop on a journaling state: the reference round.
+ExecutionResult RunReference(const Graph& g, const Protocol& p,
+                             Adversary& adv) {
+  adv.reset();
+  EngineState s = ReferenceState(g, p);
+  while (true) {
+    s.begin_round();
+    if (s.terminal()) return std::move(s).finish();
+    s.write(adv.choose(s.candidates(), s.board(), s.round()));
+  }
+}
+
 void DeepEquivalence(const Graph& g, const Protocol& p, Adversary& adv) {
-  adv.reset();
-  ExecutionResult ref =
-      run_protocol(g, p, adv, EngineOptions{.record_trace = true});
-  adv.reset();
-  ExecutionResult fro = run_protocol(
-      g, p, adv, EngineOptions{.record_trace = true, .frontier = true});
+  ExecutionResult ref = RunReference(g, p, adv);
+  ExecutionResult fro = run_protocol(g, p, adv, kTraced);  // resets adv
   ExpectSameResult(ref, fro);
 }
 
@@ -253,19 +274,57 @@ TEST(FrontierDeep, GossipCountLargerGraphs) {
   }
 }
 
+// --- Seeded differential on RMAT graphs ---
+// The instances `rmat_bfs` and the CLI run at scale, shrunk: 20 random
+// schedules per protocol and scale, with every ExecutionResult field equal.
+
+void RmatDifferential(int scale) {
+  const Graph g = rmat_graph(scale, 8, static_cast<std::uint64_t>(scale));
+  const SyncBfsProtocol sync_bfs;
+  const EobBfsProtocol eob_bfs;
+  for (const Protocol* p : {static_cast<const Protocol*>(&sync_bfs),
+                            static_cast<const Protocol*>(&eob_bfs)}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(p->name() + " rmat:" + std::to_string(scale) +
+                   " random:" + std::to_string(seed));
+      RandomAdversary random(seed);
+      DeepEquivalence(g, *p, random);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(FrontierDifferential, Rmat8) { RmatDifferential(8); }
+TEST(FrontierDifferential, Rmat9) { RmatDifferential(9); }
+TEST(FrontierDifferential, Rmat10) { RmatDifferential(10); }
+
 // --- Frontier-specific engine semantics ---
 
-TEST(FrontierEngine, JournalingIsRejected) {
-  const Graph g = path_graph(3);
-  SyncBfsProtocol p;
-  EngineState s(g, p, EngineOptions{.frontier = true});
-  EXPECT_THROW(s.set_journaling(true), LogicError);
+TEST(FrontierEngine, JournalingSelectsTheReferenceRound) {
+  // The rounds differ in one observable: the reference round rebuilds the
+  // candidate buffer every round, so write() empties it, while the frontier
+  // round keeps the remaining candidates across the write.
+  const Graph g = complete_graph(4);
+  testing::EchoIdProtocol p;
+  EngineState reference = ReferenceState(g, p);
+  EngineState frontier(g, p);
+  reference.begin_round();
+  frontier.begin_round();
+  ASSERT_EQ(reference.candidates().size(), 4u);
+  ASSERT_EQ(frontier.candidates().size(), 4u);
+  reference.write(0);
+  frontier.write(0);
+  EXPECT_TRUE(reference.candidates().empty());
+  EXPECT_EQ(frontier.candidates().size(), 3u);
+  // The choice is fixed at the first begin_round(): journaling cannot be
+  // switched on afterwards.
+  EXPECT_THROW(frontier.set_journaling(true), LogicError);
 }
 
 TEST(FrontierEngine, SucceedsOnStar) {
   const Graph g = star_graph(32);
   SyncBfsProtocol p;
-  ExecutionResult r = run_protocol(g, p, EngineOptions{.frontier = true});
+  ExecutionResult r = run_protocol(g, p);
   EXPECT_EQ(r.status, RunStatus::kSuccess);
   EXPECT_EQ(r.stats.writes, g.node_count());
   const BfsProtocolOutput out = p.output(r.board, g.node_count());
@@ -279,10 +338,11 @@ TEST(FrontierEngine, SucceedsOnStar) {
 
 TEST(FrontierEngine, WriteNodeKeepsCandidatesInvariant) {
   // write_node must erase exactly the written node from the (sorted)
-  // candidate buffer in frontier mode, so a caller-driven schedule works.
+  // candidate buffer in the frontier round, so a caller-driven schedule
+  // works.
   const Graph g = complete_graph(4);
   testing::EchoIdProtocol p;
-  EngineState s(g, p, EngineOptions{.frontier = true});
+  EngineState s(g, p);
   s.begin_round();
   ASSERT_EQ(s.candidates().size(), 4u);
   s.write_node(3);

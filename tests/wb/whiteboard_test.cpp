@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/protocols/bfs_sync.h"
@@ -29,70 +32,196 @@ TEST(Whiteboard, AppendAndAccess) {
   EXPECT_THROW((void)board.message(2), LogicError);
 }
 
-struct CountView {
-  std::size_t messages = 0;
+/// Drives cached_view with a view that logs every message folded into it.
+/// `inits` counts rebuilds from the empty view; `extends` holds the values
+/// each extend call was handed, one entry per call.
+struct ViewProbe {
+  struct Log {
+    std::vector<std::uint64_t> values;  // every folded message, in order
+  };
+  int inits = 0;
+  std::vector<std::vector<std::uint64_t>> extends;
+
+  const Log& view(const Whiteboard& board) {
+    return board.cached_view<Log>(
+        [this] {
+          ++inits;
+          return Log{};
+        },
+        [this](Log& log, std::span<const Bits> appended) {
+          std::vector<std::uint64_t>& call = extends.emplace_back();
+          for (const Bits& m : appended) {
+            BitReader r(m);
+            call.push_back(r.read_uint(static_cast<int>(m.size())));
+            log.values.push_back(call.back());
+          }
+        });
+  }
 };
-struct SumView {
-  std::size_t bits = 0;
-};
+
+using Values = std::vector<std::uint64_t>;
 
 TEST(WhiteboardCache, BuildsOncePerBoardState) {
   Whiteboard board;
   board.append(bits_of(1, 2));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 1);
+  ViewProbe probe;
+  EXPECT_EQ(probe.view(board).values, Values{1});
+  EXPECT_EQ(probe.view(board).values, Values{1});
+  EXPECT_EQ(probe.inits, 1);
+  EXPECT_EQ(probe.extends.size(), 1u);
 }
 
-TEST(WhiteboardCache, AppendInvalidates) {
+TEST(WhiteboardCache, AppendExtends) {
+  // An append keeps the view; the next call folds in only the new message.
   Whiteboard board;
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  (void)board.cached_view<CountView>(factory);
+  ViewProbe probe;
+  EXPECT_TRUE(probe.view(board).values.empty());
   board.append(bits_of(1, 2));
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(probe.view(board).values, Values{1});
+  EXPECT_EQ(probe.inits, 1);
+  EXPECT_EQ(probe.extends, (std::vector<Values>{{}, {1}}));
+}
+
+TEST(WhiteboardCache, ExtendSeesExactlyTheAppendedRange) {
+  Whiteboard board;
+  board.append(bits_of(1, 4));
+  board.append(bits_of(2, 4));
+  ViewProbe probe;
+  (void)probe.view(board);
+  board.append(bits_of(3, 4));
+  board.append(bits_of(4, 4));
+  board.append(bits_of(5, 4));
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2, 3, 4, 5}));
+  EXPECT_EQ(probe.inits, 1);
+  EXPECT_EQ(probe.extends, (std::vector<Values>{{1, 2}, {3, 4, 5}}));
 }
 
 TEST(WhiteboardCache, DistinctViewTypesDoNotMix) {
+  struct CountView {
+    std::size_t messages = 0;
+  };
+  struct SumView {
+    std::size_t bits = 0;
+  };
   Whiteboard board;
   board.append(bits_of(7, 8));
-  auto count_factory = [](const Whiteboard& b) {
-    return CountView{b.message_count()};
+  const auto count = [&board]() -> const CountView& {
+    return board.cached_view<CountView>(
+        [] { return CountView{}; },
+        [](CountView& v, std::span<const Bits> appended) {
+          v.messages += appended.size();
+        });
   };
-  auto sum_factory = [](const Whiteboard& b) {
-    return SumView{b.total_bits()};
+  const auto sum = [&board]() -> const SumView& {
+    return board.cached_view<SumView>(
+        [] { return SumView{}; },
+        [](SumView& v, std::span<const Bits> appended) {
+          for (const Bits& m : appended) v.bits += m.size();
+        });
   };
-  EXPECT_EQ(board.cached_view<CountView>(count_factory).messages, 1u);
-  EXPECT_EQ(board.cached_view<SumView>(sum_factory).bits, 8u);
-  EXPECT_EQ(board.cached_view<CountView>(count_factory).messages, 1u);
+  EXPECT_EQ(count().messages, 1u);
+  EXPECT_EQ(sum().bits, 8u);
+  board.append(bits_of(1, 4));
+  EXPECT_EQ(count().messages, 2u);
+  EXPECT_EQ(sum().bits, 12u);
 }
 
 TEST(WhiteboardCache, CopiesShareThePrefixSafely) {
   // The exhaustive explorer copies boards at branch points; a copy's append
-  // must not disturb the original's cached view.
+  // must neither mutate nor rebuild the original's cached view.
   Whiteboard original;
   original.append(bits_of(1, 4));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  (void)original.cached_view<CountView>(factory);
+  ViewProbe probe;
+  const ViewProbe::Log* before = &probe.view(original);
 
   Whiteboard copy = original;
   copy.append(bits_of(2, 4));
-  EXPECT_EQ(copy.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(original.cached_view<CountView>(factory).messages, 1u);
-  EXPECT_EQ(builds, 2);  // original's view survived the copy's append
+  EXPECT_EQ(probe.view(copy).values, (Values{1, 2}));
+  EXPECT_EQ(probe.inits, 2);  // the shared slot was rebuilt, not extended
+  EXPECT_EQ(&probe.view(original), before);
+  EXPECT_EQ(before->values, Values{1});
+  EXPECT_EQ(probe.inits, 2);  // the original's view survived the append
+
+  // Each board now holds its own slot and extends it in place.
+  original.append(bits_of(3, 4));
+  EXPECT_EQ(&probe.view(original), before);
+  EXPECT_EQ(before->values, (Values{1, 3}));
+  EXPECT_EQ(probe.view(copy).values, (Values{1, 2}));
+  EXPECT_EQ(probe.inits, 2);
+}
+
+TEST(WhiteboardCache, SnapshotsNeverSeeAMutation) {
+  // finish() snapshots the board into an ExecutionResult that shares the
+  // slot; the engine's next append must not extend the snapshot's view.
+  Whiteboard board;
+  board.append(bits_of(1, 4));
+  ViewProbe probe;
+  (void)probe.view(board);
+  const Whiteboard snapshot = board;
+  board.append(bits_of(2, 4));
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2}));
+  EXPECT_EQ(probe.view(snapshot).values, Values{1});
+  EXPECT_EQ(probe.inits, 2);
+}
+
+TEST(WhiteboardCache, TruncateBelowTheViewRebuildsIt) {
+  Whiteboard board;
+  board.append(bits_of(1, 4));
+  board.append(bits_of(2, 4));
+  ViewProbe probe;
+  (void)probe.view(board);
+  board.truncate(1);
+  board.append(bits_of(7, 4));
+  EXPECT_EQ(probe.view(board).values, (Values{1, 7}));
+  EXPECT_EQ(probe.inits, 2);
+}
+
+TEST(WhiteboardCache, TruncateAtOrAboveTheViewKeepsIt) {
+  Whiteboard board;
+  board.append(bits_of(1, 4));
+  ViewProbe probe;
+  (void)probe.view(board);  // a view of count 1
+  board.append(bits_of(2, 4));
+  board.append(bits_of(3, 4));
+  board.truncate(2);  // above the view
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2}));
+  board.truncate(2);  // at the view
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2}));
+  board.append(bits_of(4, 4));
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2, 4}));
+  EXPECT_EQ(probe.inits, 1);
+  EXPECT_EQ(probe.extends, (std::vector<Values>{{1}, {2}, {4}}));
+}
+
+TEST(WhiteboardCache, ExtendThatThrowsLeavesNoPartialView) {
+  // A decoder that rejects a message must not leave a half-extended slot:
+  // the next call rebuilds and rejects the same message again.
+  Whiteboard board;
+  board.append(bits_of(1, 4));
+  int inits = 0;
+  const auto view = [&]() -> const std::vector<std::uint64_t>& {
+    return board.cached_view<std::vector<std::uint64_t>>(
+        [&inits] {
+          ++inits;
+          return std::vector<std::uint64_t>{};
+        },
+        [](std::vector<std::uint64_t>& v, std::span<const Bits> appended) {
+          for (const Bits& m : appended) {
+            BitReader r(m);
+            const std::uint64_t value = r.read_uint(4);
+            WB_REQUIRE_MSG(value != 15, "bad message");
+            v.push_back(value);
+          }
+        });
+  };
+  EXPECT_EQ(view().size(), 1u);
+  board.append(bits_of(2, 4));
+  board.append(bits_of(15, 4));
+  EXPECT_THROW((void)view(), DataError);
+  EXPECT_THROW((void)view(), DataError);
+  EXPECT_EQ(inits, 2);
+  board.truncate(2);
+  EXPECT_EQ(view(), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(Whiteboard, TruncateUnwindsAppends) {
@@ -216,21 +345,17 @@ TEST(WhiteboardCache, SurvivesTruncateBackToTheCachedPrefix) {
   // rewinds to a checkpoint and must not re-parse the unchanged board.
   Whiteboard board;
   board.append(bits_of(1, 2));
-  int builds = 0;
-  auto factory = [&builds](const Whiteboard& b) {
-    ++builds;
-    return CountView{b.message_count()};
-  };
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 1u);
+  ViewProbe probe;
+  EXPECT_EQ(probe.view(board).values, Values{1});
   board.append(bits_of(2, 2));
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2}));
   board.truncate(2);  // no-op truncate keeps the count-2 view
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(probe.view(board).values, (Values{1, 2}));
+  EXPECT_EQ(probe.inits, 1);
   board.truncate(1);
   board.append(bits_of(3, 2));  // count back to 2, but different content
-  EXPECT_EQ(board.cached_view<CountView>(factory).messages, 2u);
-  EXPECT_EQ(builds, 3);  // append invalidated the stale count-2 view
+  EXPECT_EQ(probe.view(board).values, (Values{1, 3}));
+  EXPECT_EQ(probe.inits, 2);  // truncate dropped the stale count-2 view
 }
 
 TEST(WhiteboardCache, ExhaustiveExplorationStaysCorrectWithCaching) {
