@@ -50,7 +50,7 @@ void BitWriter::reset() noexcept {
   n_bits_ = 0;
 }
 
-std::uint64_t BitReader::read_uint(int width) {
+std::uint64_t BitReader::read_uint_slow(int width) {
   WB_CHECK(width >= 0 && width <= 64);
   if (width == 0) return 0;
   WB_REQUIRE_MSG(pos_ + static_cast<std::size_t>(width) <= bits_->size(),

@@ -173,7 +173,21 @@ class BitReader {
  public:
   explicit BitReader(const Bits& bits) : bits_(&bits) {}
 
-  [[nodiscard]] std::uint64_t read_uint(int width);
+  /// Read a `width`-bit field (width in [0, 64]). The in-bounds read of 1
+  /// to 63 bits is inline; every other width, and the overrun error, take
+  /// the out-of-line path.
+  [[nodiscard]] std::uint64_t read_uint(int width) {
+    const auto w = static_cast<std::size_t>(width);
+    if (width > 0 && width < 64 && pos_ + w <= bits_->size()) {
+      const std::uint64_t* words = bits_->word_data();
+      const std::size_t offset = pos_ % 64;
+      std::uint64_t value = words[pos_ / 64] >> offset;
+      if (offset + w > 64) value |= words[pos_ / 64 + 1] << (64 - offset);
+      pos_ += w;
+      return value & ((std::uint64_t{1} << width) - 1);
+    }
+    return read_uint_slow(width);
+  }
   [[nodiscard]] bool read_bit() { return read_uint(1) != 0; }
   [[nodiscard]] std::uint64_t read_gamma();
   [[nodiscard]] std::uint64_t read_gamma0() { return read_gamma() - 1; }
@@ -185,6 +199,8 @@ class BitReader {
   [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
 
  private:
+  [[nodiscard]] std::uint64_t read_uint_slow(int width);
+
   const Bits* bits_;
   std::size_t pos_ = 0;
 };

@@ -14,7 +14,7 @@ EngineState::EngineState(const Graph& g, const Protocol& p, EngineOptions opts)
   if (opts_.max_rounds == 0) opts_.max_rounds = 2 * n_ + 8;
   state_.assign(n_, NodeState::kAwake);
   memory_.assign(n_, Bits{});
-  written_.assign(n_, false);
+  written_.assign((n_ + 63) / 64, 0);
   stats_.activation_round.assign(n_, 0);
   stats_.write_round.assign(n_, 0);
   // Exactly n messages can ever be written; reserving up front makes a whole
@@ -103,7 +103,7 @@ void EngineState::rewind(const Checkpoint& cp) {
   // The write log names exactly the nodes written since the checkpoint.
   while (write_order_.size() > cp.writes) {
     const NodeId v = write_order_.back();
-    written_[v - 1] = false;
+    written_[(v - 1) / 64] &= ~(std::uint64_t{1} << ((v - 1) % 64));
     stats_.write_round[v - 1] = 0;
     write_order_.pop_back();
   }
@@ -183,7 +183,7 @@ void EngineState::begin_round_reference() {
 
   // Phase 1: termination updates.
   for (NodeId v = 1; v <= n_; ++v) {
-    if (state_[v - 1] == NodeState::kActive && written_[v - 1]) {
+    if (state_[v - 1] == NodeState::kActive && written(v)) {
       journal_state(v, NodeState::kActive);
       state_[v - 1] = NodeState::kTerminated;
       trace(TraceEvent::Kind::kTerminate, v);
@@ -214,11 +214,34 @@ void EngineState::begin_round_reference() {
       if (terminal()) return;
     }
   }
-  if (!async) {
+  if (!async && locality_.compose_neighbor_local) {
+    // Synchronous classes under a compose-locality claim: a memory can only
+    // change if its node activated this round or a neighbor wrote last
+    // round — every other memory was composed from a board that differs
+    // from the current one only in non-neighbor messages. Ascending ID
+    // order, as below, so a failing compose fails identically.
+    const NodeId writer =
+        !write_order_.empty() &&
+                stats_.write_round[write_order_.back() - 1] + 1 == round_
+            ? write_order_.back()
+            : kNoNode;
+    const auto nb = writer == kNoNode ? std::span<const NodeId>{}
+                                      : graph_->neighbors(writer);
+    std::size_t bi = 0;
+    for (NodeId v = 1; v <= n_; ++v) {
+      if (state_[v - 1] != NodeState::kActive || written(v)) continue;
+      while (bi < nb.size() && nb[bi] < v) ++bi;
+      if (stats_.activation_round[v - 1] == round_ ||
+          (bi < nb.size() && nb[bi] == v)) {
+        compose_into(v);
+        if (terminal()) return;
+      }
+    }
+  } else if (!async) {
     // Synchronous classes: every active, unwritten node recomputes its local
     // memory from the current whiteboard ("may change its mind").
     for (NodeId v = 1; v <= n_; ++v) {
-      if (state_[v - 1] == NodeState::kActive && !written_[v - 1]) {
+      if (state_[v - 1] == NodeState::kActive && !written(v)) {
         compose_into(v);
         if (terminal()) return;
       }
@@ -228,7 +251,7 @@ void EngineState::begin_round_reference() {
   // Candidate set for the adversary.
   candidates_.clear();
   for (NodeId v = 1; v <= n_; ++v) {
-    if (state_[v - 1] == NodeState::kActive && !written_[v - 1]) {
+    if (state_[v - 1] == NodeState::kActive && !written(v)) {
       candidates_.push_back(v);
     }
   }
@@ -334,7 +357,7 @@ void EngineState::begin_round_frontier() {
       std::size_t ai = 0, bi = 0;
       while (true) {
         while (bi < nb.size() && (state_[nb[bi] - 1] != NodeState::kActive ||
-                                  written_[nb[bi] - 1])) {
+                                  written(nb[bi]))) {
           ++bi;
         }
         NodeId v = kNoNode;
@@ -383,7 +406,7 @@ void EngineState::write(std::size_t index) {
 void EngineState::write_node(NodeId v) {
   WB_CHECK(!terminal());
   WB_CHECK_MSG(v >= 1 && v <= n_ && state_[v - 1] == NodeState::kActive &&
-                   !written_[v - 1],
+                   !written(v),
                "write_node(" << v << "): not an active unwritten node");
   WB_CHECK_MSG(!wrote_this_round_,
                "one adversarial write per round: begin_round() first");
@@ -392,7 +415,7 @@ void EngineState::write_node(NodeId v) {
   stats_.max_message_bits = std::max(stats_.max_message_bits, message.size());
   board_.append(message);
   stats_.total_bits = board_.total_bits();
-  written_[v - 1] = true;
+  written_[(v - 1) / 64] |= std::uint64_t{1} << ((v - 1) % 64);
   stats_.write_round[v - 1] = round_;
   ++stats_.writes;
   write_order_.push_back(v);
@@ -456,15 +479,7 @@ Hash128 EngineState::memo_key() const {
   h.update(content.hi);
   // The written set, packed 64 nodes per word. Not derivable from the board
   // for protocols whose messages do not embed the writer's id.
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (written_[i]) word |= std::uint64_t{1} << (i % 64);
-    if (i % 64 == 63) {
-      h.update(word);
-      word = 0;
-    }
-  }
-  if (n_ % 64 != 0) h.update(word);
+  for (const std::uint64_t word : written_) h.update(word);
   return h.digest();
 }
 

@@ -102,7 +102,12 @@ struct EngineOptions {
 /// The round implementation is chosen once, at the first begin_round(), from
 /// whether the state journals:
 ///  - journaling states run the *reference* round, which rescans all n nodes
-///    every round and records an undo entry for each mutation;
+///    every round and records an undo entry for each mutation. Under a
+///    compose_neighbor_local claim it recomposes, in a synchronous class,
+///    only the nodes activated this round and the active unwritten
+///    neighbors of the previous round's writer — the memories the claim
+///    allows to change — so the node state after every round is the one a
+///    full recompose would give;
 ///  - every other state runs the *frontier* round: it tracks the awake and
 ///    active sets incrementally and, where the protocol's FrontierLocality
 ///    contract allows, only re-activates and recomposes nodes adjacent to
@@ -110,7 +115,11 @@ struct EngineOptions {
 ///    list (top-down) and scanning the tracked population (bottom-up) on
 ///    frontier density. rewind() restores neither set, which is why the
 ///    rewinding explorer keeps the reference round.
-/// Both rounds produce bit-identical executions (tests/wb/frontier_test.cpp).
+/// Both rounds produce bit-identical executions. Since both honor compose
+/// claims, the claim-free oracle lives in the tests: tests/wb/frontier_test.cpp
+/// and the ClaimedLocality suite of tests/wb/exhaustive_test.cpp run each
+/// protocol inside an adapter that claims nothing (testing::ClaimFreeProtocol)
+/// and require identical executions.
 class EngineState {
  public:
   EngineState(const Graph& g, const Protocol& p, EngineOptions opts = {});
@@ -148,14 +157,17 @@ class EngineState {
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
 
   /// State-identity key for memoized exploration: a 128-bit hash of the
-  /// board content and the written set. In the fault-free reference engine
-  /// these determine every other component at a branch point — activations
-  /// are monotone functions of the board history (itself the prefix chain of
-  /// the content), memories are frozen at activation (asynchronous) or
-  /// recomposed from the current board (synchronous), and the round counter
-  /// tracks the write count — so two non-terminal states with equal keys
-  /// behave identically under every future schedule. Used by the memoizing
-  /// exhaustive sweep.
+  /// board content and the written set. O(n/64): the board stores its
+  /// content hash, and the written set is kept as packed words. In the
+  /// fault-free reference engine these determine every other component at a
+  /// branch point — activations are monotone functions of the board history
+  /// (itself the prefix chain of the content), memories are frozen at
+  /// activation (asynchronous) or recomposed from the current board
+  /// (synchronous), and the round counter tracks the write count — so two
+  /// non-terminal states with equal keys behave identically under every
+  /// future schedule. begin_round() changes neither component, so the key
+  /// taken just before a round equals the one at the branch point it
+  /// reaches. Used by the memoizing exhaustive sweep.
   [[nodiscard]] Hash128 memo_key() const;
 
   // --- Backtracking API (the exhaustive explorer) ---
@@ -196,6 +208,9 @@ class EngineState {
   [[nodiscard]] LocalView view_of(NodeId v) const {
     return LocalView(v, graph_->neighbors(v), graph_->node_count());
   }
+  [[nodiscard]] bool written(NodeId v) const noexcept {
+    return (written_[(v - 1) / 64] >> ((v - 1) % 64)) & 1u;
+  }
   void compose_into(NodeId v);
   /// activate() through the fault firewall (see compose_into): a DataError
   /// from the protocol becomes a kFault terminal status. Callers must check
@@ -234,7 +249,8 @@ class EngineState {
 
   std::vector<NodeState> state_;
   std::vector<Bits> memory_;
-  std::vector<bool> written_;
+  /// The written set, packed: node v is bit (v-1) % 64 of word (v-1) / 64.
+  std::vector<std::uint64_t> written_;
   std::vector<NodeId> candidates_;
   Whiteboard board_;
   std::optional<RunStatus> status_;

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/support/thread_pool.h"
+#include "src/wb/memo_table.h"
 
 namespace wb {
 
@@ -215,18 +215,7 @@ MemoizedTotals sweep_memoized(
     const ExhaustiveOptions& opts) {
   WB_REQUIRE_MSG(opts.threads == 1, "memoized sweeps are serial");
 
-  struct MemoEntry {
-    std::uint64_t executions = 0;
-    std::uint64_t engine_failures = 0;
-    std::uint64_t wrong_outputs = 0;
-  };
-  struct KeyHasher {
-    std::size_t operator()(const Hash128& h) const noexcept {
-      return static_cast<std::size_t>(h.lo ^ h.hi);
-    }
-  };
-  std::unordered_map<Hash128, MemoEntry, KeyHasher> memo;
-
+  MemoTable memo;
   MemoizedTotals totals;
   std::unique_ptr<DistinctAccumulator> distinct =
       make_distinct_accumulator(opts.distinct);
@@ -243,10 +232,27 @@ MemoizedTotals sweep_memoized(
   EngineState state(g, p, opts.engine);
   state.set_journaling(true);
   ExecutionResult scratch;
+  // Per-depth pooled candidate buffers, as in Backtracker::explore.
+  std::vector<std::vector<NodeId>> frames;
 
   // Invariant (as in Backtracker::explore): returns with the state rewound
   // to how it found it, and returns the subtree's totals.
-  const auto explore = [&](const auto& self) -> MemoEntry {
+  const auto explore = [&](const auto& self, std::size_t depth) -> MemoEntry {
+    // begin_round() changes neither the board nor the written set, so the
+    // key is known before the round runs, and a state the table holds
+    // needs no round at all: an equal key means the round would reach the
+    // same non-terminal branch point the entry was recorded at.
+    const Hash128 key = state.memo_key();
+    if (MemoEntry hit; memo.find(key, hit)) {
+      // The whole subtree was explored from an identical state: its
+      // terminals, in the same relative order, contribute the same totals —
+      // and its distinct boards are already in the accumulator (set-union
+      // and register-max are idempotent, so skipping the re-inserts leaves
+      // exact and hll counts alike unchanged).
+      ++totals.memo_hits;
+      charge(hit.executions);
+      return hit;
+    }
     const EngineState::Checkpoint pre_round = state.checkpoint();
     state.begin_round();
     if (state.terminal()) {
@@ -266,40 +272,33 @@ MemoizedTotals sweep_memoized(
         }
       }
       distinct->insert(scratch.board.content_hash());
+      // Release the snapshot's share of the board storage, so the engine
+      // is again its sole owner and rewinds and re-appends in place.
+      scratch.board = Whiteboard();
       state.rewind(pre_round);
       return leaf;
     }
-    const Hash128 key = state.memo_key();
-    if (const auto it = memo.find(key); it != memo.end()) {
-      // The whole subtree was explored from an identical state: its
-      // terminals, in the same relative order, contribute the same totals —
-      // and its distinct boards are already in the accumulator (set-union
-      // and register-max are idempotent, so skipping the re-inserts leaves
-      // exact and hll counts alike unchanged).
-      ++totals.memo_hits;
-      charge(it->second.executions);
-      state.rewind(pre_round);
-      return it->second;
-    }
     ++totals.states_explored;
     MemoEntry sum;
-    const std::vector<NodeId> branches(state.candidates().begin(),
-                                       state.candidates().end());
+    // Indexed and re-fetched each iteration: deeper calls may grow `frames`
+    // and move the pooled vectors.
+    if (frames.size() <= depth) frames.emplace_back();
+    frames[depth].assign(state.candidates().begin(), state.candidates().end());
     const EngineState::Checkpoint pre_write = state.checkpoint();
-    for (const NodeId v : branches) {
-      state.write_node(v);
-      const MemoEntry sub = self(self);
+    for (std::size_t i = 0; i < frames[depth].size(); ++i) {
+      state.write_node(frames[depth][i]);
+      const MemoEntry sub = self(self, depth + 1);
       sum.executions += sub.executions;
       sum.engine_failures += sub.engine_failures;
       sum.wrong_outputs += sub.wrong_outputs;
       state.rewind(pre_write);
     }
-    memo.emplace(key, sum);
+    memo.insert(key, sum);
     state.rewind(pre_round);
     return sum;
   };
 
-  const MemoEntry root = explore(explore);
+  const MemoEntry root = explore(explore, 0);
   totals.executions = root.executions;
   totals.engine_failures = root.engine_failures;
   totals.wrong_outputs = root.wrong_outputs;

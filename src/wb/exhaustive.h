@@ -166,7 +166,9 @@ struct MemoizedTotals {
 /// Exhaustive sweep with hash-consed state memoization: a depth-first walk
 /// on one journaling EngineState that keys every branch point by
 /// EngineState::memo_key() and reuses the (executions, failures, wrong)
-/// subtree totals of states it has seen before. Protocols whose messages
+/// subtree totals of states it has seen before. The key is looked up before
+/// the round runs, so a hit costs no engine round; the table is the flat
+/// MemoTable of src/wb/memo_table.h. Protocols whose messages
 /// embed the writer's id never collapse (every board is order-unique — the
 /// memo is pure overhead); anonymous-message protocols (anon-degree)
 /// collapse factorially. Honors opts.max_executions with the same

@@ -26,11 +26,13 @@
 
 namespace wb {
 
-/// A protocol's opt-in contract for the engine's frontier round (the round
-/// every non-journaling EngineState runs; see engine.h). Both flags
-/// describe *data dependence*, not a different semantics — the engine uses
-/// them to skip re-evaluations that provably cannot change, and the result
-/// must stay bit-identical to the reference round.
+/// A protocol's opt-in data-dependence contract for the engine's rounds
+/// (see engine.h). The frontier round, which every non-journaling
+/// EngineState runs, uses both flags; the journaling reference round uses
+/// compose_neighbor_local. Both flags describe *data dependence*, not a
+/// different semantics — the engine uses them to skip re-evaluations that
+/// provably cannot change, and the result must stay bit-identical to a
+/// round that claims nothing.
 struct FrontierLocality {
   /// activate(view, board) is a pure function of (view, the subsequence of
   /// board messages authored by neighbors of view.id()). Since the board only
@@ -80,9 +82,9 @@ class Protocol {
     return compose(view, board);
   }
 
-  /// Which frontier-round shortcuts this protocol's functions admit. The
-  /// default claims nothing, which makes the frontier round safe (if
-  /// slower) for every protocol; claiming a flag the functions do not honor
+  /// Which round shortcuts this protocol's functions admit. The default
+  /// claims nothing, which makes both rounds safe (if slower) for every
+  /// protocol; claiming a flag the functions do not honor
   /// breaks the bit-identical guarantee, so it is pinned by the equivalence
   /// suites.
   [[nodiscard]] virtual FrontierLocality frontier_locality() const {

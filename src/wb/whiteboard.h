@@ -13,6 +13,10 @@
 // sharer's count) and clone the live prefix only when a stale-prefix holder
 // diverges. truncate() lets the engine's backtracking explorer unwind writes;
 // it pops storage physically only when this board is the sole owner.
+//
+// Next to each message the storage keeps the running content-hash state
+// after it, so content_hash() of any prefix is O(1) — the memoizing sweep
+// keys every branch point by it.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +58,8 @@ class Whiteboard {
   /// spans handed out by messages()).
   void reserve(std::size_t message_capacity) {
     own_tail();
-    entries_->reserve(message_capacity);
+    entries_->messages.reserve(message_capacity);
+    entries_->running.reserve(message_capacity);
   }
 
   /// Appends keep the cached view: it describes a prefix of the new board,
@@ -62,7 +67,14 @@ class Whiteboard {
   void append(Bits message) {
     total_bits_ += message.size();
     own_tail();
-    entries_->push_back(std::move(message));
+    Hasher128 h = count_ == 0 ? Hasher128{} : entries_->running[count_ - 1];
+    h.update(message.size());
+    const std::uint64_t* words = message.word_data();
+    for (std::size_t w = 0, e = message.word_count(); w < e; ++w) {
+      h.update(words[w]);
+    }
+    entries_->messages.push_back(std::move(message));
+    entries_->running.push_back(h);
     ++count_;
   }
 
@@ -72,7 +84,7 @@ class Whiteboard {
   void truncate(std::size_t new_count) {
     WB_CHECK(new_count <= count_);
     for (std::size_t i = new_count; i < count_; ++i) {
-      total_bits_ -= (*entries_)[i].size();
+      total_bits_ -= entries_->messages[i].size();
     }
     count_ = new_count;
     if (cache_ != nullptr && cache_->count > count_) cache_.reset();
@@ -86,13 +98,13 @@ class Whiteboard {
 
   [[nodiscard]] const Bits& message(std::size_t i) const {
     WB_CHECK(i < count_);
-    return (*entries_)[i];
+    return entries_->messages[i];
   }
 
   [[nodiscard]] std::span<const Bits> messages() const noexcept {
     return entries_ == nullptr
                ? std::span<const Bits>()
-               : std::span<const Bits>(entries_->data(), count_);
+               : std::span<const Bits>(entries_->messages.data(), count_);
   }
 
   /// Total bits currently on the whiteboard (the Lemma 3 budget).
@@ -100,17 +112,11 @@ class Whiteboard {
 
   /// Word-wise 128-bit hash of the board contents (message lengths and
   /// words, in write order). Two boards with equal contents hash equally;
-  /// distinct boards collide with probability ~2^-128.
+  /// distinct boards collide with probability ~2^-128. O(1): append()
+  /// stored the hasher state after the last message.
   [[nodiscard]] Hash128 content_hash() const noexcept {
-    Hasher128 h;
-    for (const Bits& m : messages()) {
-      h.update(m.size());
-      const std::uint64_t* words = m.word_data();
-      for (std::size_t w = 0, e = m.word_count(); w < e; ++w) {
-        h.update(words[w]);
-      }
-    }
-    return h.digest();
+    return count_ == 0 ? Hasher128{}.digest()
+                       : entries_->running[count_ - 1].digest();
   }
 
   /// Memoized decoded view of the board, extended on append.
@@ -182,21 +188,36 @@ class Whiteboard {
   /// still read).
   void own_tail() {
     if (entries_ == nullptr) {
-      entries_ = std::make_shared<std::vector<Bits>>();
-    } else if (count_ < entries_->size()) {
+      entries_ = std::make_shared<Storage>();
+    } else if (count_ < entries_->messages.size()) {
       if (entries_.use_count() == 1) {
         entries_->resize(count_);
       } else {
-        auto fresh = std::make_shared<std::vector<Bits>>();
-        fresh->reserve(entries_->capacity());
-        fresh->assign(entries_->begin(),
-                      entries_->begin() + static_cast<std::ptrdiff_t>(count_));
+        auto fresh = std::make_shared<Storage>();
+        const auto end = static_cast<std::ptrdiff_t>(count_);
+        fresh->messages.reserve(entries_->messages.capacity());
+        fresh->messages.assign(entries_->messages.begin(),
+                               entries_->messages.begin() + end);
+        fresh->running.reserve(entries_->running.capacity());
+        fresh->running.assign(entries_->running.begin(),
+                              entries_->running.begin() + end);
         entries_ = std::move(fresh);
       }
     }
   }
 
-  std::shared_ptr<std::vector<Bits>> entries_;
+  /// The shared message prefix; running[i] is the content hasher's state
+  /// after messages[0..i], so the two vectors always have equal length.
+  struct Storage {
+    std::vector<Bits> messages;
+    std::vector<Hasher128> running;
+    void resize(std::size_t count) {
+      messages.resize(count);
+      running.resize(count);
+    }
+  };
+
+  std::shared_ptr<Storage> entries_;
   std::size_t count_ = 0;
   std::size_t total_bits_ = 0;
   mutable std::shared_ptr<CacheBase> cache_;

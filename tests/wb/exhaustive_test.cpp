@@ -17,7 +17,10 @@
 #include "src/graph/generators.h"
 #include "src/protocols/anon_frontier.h"
 #include "src/protocols/bfs_sync.h"
+#include "src/protocols/mis.h"
+#include "src/protocols/oracles.h"
 #include "src/wb/faults.h"
+#include "src/wb/memo_table.h"
 #include "tests/cli/report_lines.h"
 #include "tests/wb/test_protocols.h"
 
@@ -109,6 +112,7 @@ struct Signature {
   std::vector<std::size_t> activation_round;
   std::vector<std::size_t> write_round;
   std::size_t rounds = 0;
+  std::string error;
 
   friend bool operator==(const Signature&, const Signature&) = default;
 };
@@ -127,6 +131,7 @@ Signature signature_of(const ExecutionResult& r) {
   s.activation_round = r.stats.activation_round;
   s.write_round = r.stats.write_round;
   s.rounds = r.stats.rounds;
+  s.error = r.error;
   return s;
 }
 
@@ -726,3 +731,329 @@ TEST(MemoizedSweep, DecoderErrorsCountAsEngineFailuresLikeTheEnumerator) {
 
 }  // namespace
 }  // namespace wb::cli
+
+// ---- claimed compose locality: the journaling round against the oracle ----
+//
+// The journaling round skips the recompose of a synchronous memory that a
+// protocol's compose_neighbor_local claim proves unchanged. Every protocol
+// that makes the claim is swept here twice, as itself and inside
+// testing::ClaimFreeProtocol (which claims nothing, so every memory is
+// recomposed every round); the visit sequences, the report lines and the
+// memo walk's accounting must all be equal.
+
+namespace wb {
+namespace {
+
+std::vector<Signature> visit_sequence(const Graph& g, const Protocol& p) {
+  std::vector<Signature> visits;
+  (void)for_each_execution(g, p, [&](const ExecutionResult& r) {
+    visits.push_back(signature_of(r));
+    return true;
+  });
+  return visits;
+}
+
+/// A judge shared by both sides: a decoded output is correct, a decoder
+/// DataError an engine failure (as in the CLI's classifier).
+template <typename P>
+FaultClassifier decode_classifier(const P& p, std::size_t n) {
+  return [&p, n](const ExecutionResult& r, std::span<const NodeId>) {
+    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
+    try {
+      (void)p.output(r.board, n);
+      return FaultVerdict::kCorrect;
+    } catch (const DataError&) {
+      return FaultVerdict::kDeadlockOrFault;
+    }
+  };
+}
+
+std::string report_of(const SweepTotals& t) {
+  return cli::exhaustive_summary_lines(t.executions, t.engine_failures,
+                                       t.wrong_outputs,
+                                       t.distinct->estimate());
+}
+
+template <typename P>
+void expect_claim_matches_claim_free(const P& p) {
+  ASSERT_TRUE(p.frontier_locality().compose_neighbor_local) << p.name();
+  ASSERT_FALSE(is_asynchronous(p.model_class())) << p.name();
+  const testing::ClaimFreeProtocol claim_free(p);
+  const std::vector<Graph> graphs = {
+      path_graph(4),  cycle_graph(5),    star_graph(5),
+      complete_graph(4), grid_graph(2, 3), random_tree(6, 3),
+      two_cliques(2), erdos_renyi(6, 1, 2, 17)};
+  for (const Graph& g : graphs) {
+    const std::string row = p.name() + " n=" +
+                            std::to_string(g.node_count()) +
+                            " m=" + std::to_string(g.edge_count());
+    const std::vector<Signature> claimed = visit_sequence(g, p);
+    ASSERT_FALSE(claimed.empty()) << row;
+    EXPECT_TRUE(claimed == visit_sequence(g, claim_free)) << row;
+
+    const FaultClassifier classify = decode_classifier(p, g.node_count());
+    EXPECT_EQ(report_of(sweep_faulty_executions(g, p, FaultSpec{}, classify)),
+              report_of(sweep_faulty_executions(g, claim_free, FaultSpec{},
+                                                classify)))
+        << row;
+
+    const auto judge = [&](const ExecutionResult& r) {
+      return classify(r, {}) == FaultVerdict::kCorrect;
+    };
+    const MemoizedTotals a = sweep_memoized(g, p, judge);
+    const MemoizedTotals b = sweep_memoized(g, claim_free, judge);
+    EXPECT_EQ(a.executions, b.executions) << row;
+    EXPECT_EQ(a.engine_failures, b.engine_failures) << row;
+    EXPECT_EQ(a.wrong_outputs, b.wrong_outputs) << row;
+    EXPECT_EQ(a.distinct, b.distinct) << row;
+    EXPECT_EQ(a.states_explored, b.states_explored) << row;
+    EXPECT_EQ(a.memo_hits, b.memo_hits) << row;
+    EXPECT_EQ(a.terminals_visited, b.terminals_visited) << row;
+  }
+}
+
+TEST(ClaimedLocality, RootedMisMatchesTheClaimFreeOracle) {
+  expect_claim_matches_claim_free(RootedMisProtocol(1));
+  expect_claim_matches_claim_free(RootedMisProtocol(3));
+}
+
+TEST(ClaimedLocality, SyncBfsMatchesTheClaimFreeOracle) {
+  expect_claim_matches_claim_free(SyncBfsProtocol{});
+}
+
+TEST(ClaimedLocality, AnonDegreeMatchesTheClaimFreeOracle) {
+  expect_claim_matches_claim_free(AnonDegreeProtocol{});
+}
+
+TEST(ClaimedLocality, SpanningForestMatchesTheClaimFreeOracle) {
+  expect_claim_matches_claim_free(SpanningForestProtocol{});
+}
+
+TEST(ClaimedLocality, GossipCountMatchesTheClaimFreeOracle) {
+  expect_claim_matches_claim_free(testing::GossipCountProtocol{});
+}
+
+// ---- the memo walk's state key ----
+
+/// memo_key() as first defined: the from-scratch content hash of the board,
+/// then the written set packed 64 nodes per word.
+Hash128 reference_memo_key(const Whiteboard& board,
+                           const std::vector<bool>& written) {
+  Hasher128 content;
+  for (const Bits& m : board.messages()) {
+    content.update(m.size());
+    for (std::size_t w = 0; w < m.word_count(); ++w) content.update(m.word(w));
+  }
+  const Hash128 c = content.digest();
+  Hasher128 h;
+  h.update(c.lo);
+  h.update(c.hi);
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    if (written[i]) word |= std::uint64_t{1} << (i % 64);
+    if (i % 64 == 63) {
+      h.update(word);
+      word = 0;
+    }
+  }
+  if (written.size() % 64 != 0) h.update(word);
+  return h.digest();
+}
+
+/// Depth-first over every schedule on one journaling state, comparing
+/// memo_key() with the reference formula at every branch point. Returns the
+/// branch points checked.
+std::size_t check_memo_keys(EngineState& s, std::vector<bool>& written) {
+  const EngineState::Checkpoint pre_round = s.checkpoint();
+  s.begin_round();
+  if (s.terminal()) {
+    s.rewind(pre_round);
+    return 0;
+  }
+  EXPECT_EQ(s.memo_key(), reference_memo_key(s.board(), written));
+  std::size_t checked = 1;
+  const std::vector<NodeId> cands(s.candidates().begin(),
+                                  s.candidates().end());
+  const EngineState::Checkpoint pre_write = s.checkpoint();
+  for (const NodeId v : cands) {
+    s.write_node(v);
+    written[v - 1] = true;
+    checked += check_memo_keys(s, written);
+    written[v - 1] = false;
+    s.rewind(pre_write);
+  }
+  s.rewind(pre_round);
+  return checked;
+}
+
+TEST(MemoKey, EqualsTheFromScratchFormulaAtEveryBranchPoint) {
+  const AnonDegreeProtocol anon;
+  const SyncBfsProtocol bfs;
+  // A 70-node path pins the multi-word written set; SYNC-BFS walks it in
+  // one schedule, one branch point per node.
+  for (const auto& [g, p] :
+       {std::pair<Graph, const Protocol*>{grid_graph(2, 3), &anon},
+        std::pair<Graph, const Protocol*>{cycle_graph(5), &bfs},
+        std::pair<Graph, const Protocol*>{path_graph(70), &bfs}}) {
+    EngineState s(g, *p);
+    s.set_journaling(true);
+    std::vector<bool> written(g.node_count(), false);
+    EXPECT_GT(check_memo_keys(s, written), 1u) << p->name();
+  }
+}
+
+// ---- the flat memo table ----
+
+Hash128 test_key(std::uint64_t i) {
+  return Hash128{mix64(i + 1), mix64(~i)};
+}
+
+TEST(MemoTable, FindsWhatWasInsertedAndNothingElse) {
+  MemoTable t;
+  MemoEntry out;
+  EXPECT_FALSE(t.find(test_key(0), out));
+  t.insert(test_key(0), MemoEntry{7, 0, 0});
+  ASSERT_TRUE(t.find(test_key(0), out));
+  EXPECT_EQ(out.executions, 7u);
+  EXPECT_EQ(out.engine_failures, 0u);
+  EXPECT_EQ(out.wrong_outputs, 0u);
+  EXPECT_FALSE(t.find(test_key(1), out));
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.side_entries(), 0u);
+}
+
+TEST(MemoTable, TheEmptySlotKeyIsRemapped) {
+  // {0,0} marks an empty slot; as a real key it is stored under the
+  // stand-in and found again.
+  MemoTable t;
+  MemoEntry out;
+  EXPECT_FALSE(t.find(Hash128{0, 0}, out));
+  t.insert(Hash128{0, 0}, MemoEntry{42, 0, 0});
+  ASSERT_TRUE(t.find(Hash128{0, 0}, out));
+  EXPECT_EQ(out.executions, 42u);
+  ASSERT_TRUE(t.find(MemoTable::kZeroKeyStandIn, out));
+  EXPECT_EQ(out.executions, 42u);
+  EXPECT_EQ(t.size(), 1u);
+  // Keys next to it in either word are distinct keys.
+  EXPECT_FALSE(t.find(Hash128{0, 1}, out));
+  EXPECT_FALSE(t.find(Hash128{1, 0}, out));
+}
+
+TEST(MemoTable, NonZeroTalliesAndHugeCountsLiveInTheSideMap) {
+  MemoTable t;
+  const MemoEntry failing{10, 3, 0};
+  const MemoEntry wrong{10, 0, 4};
+  const MemoEntry huge{std::uint64_t{1} << 63, 0, 0};
+  const MemoEntry plain{(std::uint64_t{1} << 63) - 1, 0, 0};
+  t.insert(test_key(1), failing);
+  t.insert(test_key(2), wrong);
+  t.insert(test_key(3), huge);
+  t.insert(test_key(4), plain);
+  EXPECT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.side_entries(), 3u);
+  for (const auto& [i, e] : {std::pair{1, failing}, std::pair{2, wrong},
+                             std::pair{3, huge}, std::pair{4, plain}}) {
+    MemoEntry out;
+    ASSERT_TRUE(t.find(test_key(static_cast<std::uint64_t>(i)), out)) << i;
+    EXPECT_EQ(out.executions, e.executions) << i;
+    EXPECT_EQ(out.engine_failures, e.engine_failures) << i;
+    EXPECT_EQ(out.wrong_outputs, e.wrong_outputs) << i;
+  }
+}
+
+TEST(MemoTable, GrowsThroughSeveralResizesKeepingEveryEntry) {
+  MemoTable t;
+  const std::size_t n = 5000;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.insert(test_key(i), MemoEntry{i, i % 7 == 0 ? 1u : 0u, 0});
+  }
+  EXPECT_EQ(t.size(), n);
+  // 1.5x growth from 1024 slots: five resizes, load at most 4/5.
+  EXPECT_GE(t.capacity() * 4, n * 5);
+  EXPECT_LT(t.capacity(), n * 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    MemoEntry out;
+    ASSERT_TRUE(t.find(test_key(i), out)) << i;
+    EXPECT_EQ(out.executions, i);
+    EXPECT_EQ(out.engine_failures, i % 7 == 0 ? 1u : 0u);
+  }
+  MemoEntry out;
+  for (std::size_t i = n; i < n + 1000; ++i) {
+    EXPECT_FALSE(t.find(test_key(i), out)) << i;
+  }
+}
+
+TEST(MemoizedSweep, StateAndHitCountsArePinnedAcrossTableGrowth) {
+  // grid:3x3 expands 13268 states, 13 times the table's starting
+  // capacity, so the walk runs through seven resizes.
+  const Graph g = grid_graph(3, 3);
+  const AnonDegreeProtocol p;
+  const MemoizedTotals t =
+      sweep_memoized(g, p, [](const ExecutionResult&) { return true; });
+  EXPECT_EQ(t.executions, 362880u);
+  EXPECT_EQ(t.states_explored, 13268u);
+  EXPECT_EQ(t.memo_hits, 21128u);
+  EXPECT_EQ(t.terminals_visited, 2310u);
+  EXPECT_EQ(t.distinct, 630u);
+}
+
+/// SIMSYNC with anonymous degree messages, so schedules converge. A node
+/// recomposing on a board of exactly two messages writes 16 bits when it is
+/// the hub (a message overflow: the bound is 8), so every schedule that has
+/// not written the hub by round 3 fails in the engine.
+class OverflowsLateHubProtocol final : public SimSyncProtocol<std::uint64_t> {
+ public:
+  [[nodiscard]] std::size_t message_bit_limit(std::size_t) const override {
+    return 8;
+  }
+  [[nodiscard]] Bits compose(const LocalView& view,
+                             const Whiteboard& board) const override {
+    BitWriter w;
+    const bool hub = view.degree() + 1 == view.n();
+    w.write_uint(view.degree(), hub && board.message_count() == 2 ? 16 : 8);
+    return w.take();
+  }
+  /// The first message's degree.
+  [[nodiscard]] std::uint64_t output(const Whiteboard& board,
+                                     std::size_t) const override {
+    BitReader r(board.message(0));
+    return r.read_uint(8);
+  }
+  [[nodiscard]] std::string name() const override {
+    return "overflows-late-hub";
+  }
+};
+
+TEST(MemoizedSweep, SideMapTalliesMatchTheEnumerator) {
+  // On star:6 the hub writes in the first two rounds on 2 * 5! = 240
+  // schedules. Every other schedule overflows in round 3, after one of the
+  // 5 * 4 two-leaf prefixes: 20 engine failures. Of the successes, the 120
+  // that open with the hub are judged wrong. Converged subtrees with
+  // non-zero tallies are answered from the side map.
+  const Graph g = star_graph(6);
+  const OverflowsLateHubProtocol p;
+  const auto judge = [&p](const ExecutionResult& r) {
+    return p.output(r.board, 6) != 5;
+  };
+  const MemoizedTotals memo = sweep_memoized(g, p, judge);
+  const FaultClassifier classify = [&judge](const ExecutionResult& r,
+                                            std::span<const NodeId>) {
+    if (!r.ok()) return FaultVerdict::kDeadlockOrFault;
+    return judge(r) ? FaultVerdict::kCorrect : FaultVerdict::kWrongOutput;
+  };
+  const SweepTotals oracle =
+      sweep_faulty_executions(g, p, FaultSpec{}, classify);
+  EXPECT_EQ(memo.executions, 260u);
+  EXPECT_EQ(memo.engine_failures, 20u);
+  EXPECT_EQ(memo.wrong_outputs, 120u);
+  EXPECT_GT(memo.memo_hits, 0u);
+  EXPECT_EQ(oracle.engine_failures, memo.engine_failures);
+  EXPECT_EQ(oracle.wrong_outputs, memo.wrong_outputs);
+  EXPECT_EQ(cli::exhaustive_summary_lines(memo.executions,
+                                          memo.engine_failures,
+                                          memo.wrong_outputs, memo.distinct),
+            report_of(oracle));
+}
+
+}  // namespace
+}  // namespace wb

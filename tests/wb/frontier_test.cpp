@@ -1,13 +1,16 @@
 // Frontier-round equivalence: the engine runs the frontier round whenever a
 // state does not journal and the reference round when it does, and the
-// choice must be a pure optimization. Every suite here runs a journaling
-// (reference) state in lockstep with a plain (frontier) state — same graph,
-// same protocol, same adversary choices — and requires bit-identical
-// observables at every round: candidate sets, whiteboard contents, terminal
-// status, error strings, stats, write order, and trace. The exhaustive
-// suites branch over *every* adversary schedule on small instances, so a
-// locality claim a protocol does not honor (or a frontier bookkeeping bug)
-// cannot hide behind one lucky ordering.
+// choice must be a pure optimization. Both rounds honor a protocol's
+// locality claims, so the oracle side here is a journaling (reference)
+// state running the protocol inside testing::ClaimFreeProtocol, which
+// claims nothing. Every suite runs that oracle in lockstep with a plain
+// (frontier) state on the protocol itself — same graph, same adversary
+// choices — and requires bit-identical observables at every round:
+// candidate sets, whiteboard contents, terminal status, error strings,
+// stats, write order, and trace. The exhaustive suites branch over *every*
+// adversary schedule on small instances, so a locality claim a protocol
+// does not honor (or a frontier bookkeeping bug) cannot hide behind one
+// lucky ordering.
 #include <algorithm>
 #include <vector>
 
@@ -52,7 +55,8 @@ void ExpectSameResult(const ExecutionResult& ref, const ExecutionResult& fro) {
 
 constexpr EngineOptions kTraced{.record_trace = true};
 
-/// A state that runs the reference round: journaling selects it.
+/// A state that runs the reference round: journaling selects it. Pass a
+/// testing::ClaimFreeProtocol to get the claim-free oracle.
 EngineState ReferenceState(const Graph& g, const Protocol& p) {
   EngineState s(g, p, kTraced);
   s.set_journaling(true);
@@ -65,8 +69,9 @@ EngineState ReferenceState(const Graph& g, const Protocol& p) {
 /// state cannot rewind, so copying is the one way to branch it).
 class LockstepExplorer {
  public:
-  LockstepExplorer(const Graph& g, const Protocol& p) : graph_(g) {
-    Explore(ReferenceState(g, p), EngineState(g, p, kTraced));
+  LockstepExplorer(const Graph& g, const Protocol& p)
+      : graph_(g), claim_free_(p) {
+    Explore(ReferenceState(g, claim_free_), EngineState(g, p, kTraced));
   }
 
   [[nodiscard]] std::size_t executions() const { return executions_; }
@@ -107,6 +112,7 @@ class LockstepExplorer {
   }
 
   const Graph& graph_;
+  const testing::ClaimFreeProtocol claim_free_;
   std::size_t executions_ = 0;
 };
 
@@ -208,11 +214,13 @@ TEST(FrontierEquivalence, LazySimSyncProtocolErrorExhaustive) {
 
 // --- Deep single-schedule runs on larger instances ---
 
-/// run_protocol's loop on a journaling state: the reference round.
+/// run_protocol's loop on a journaling state running `p` claim-free: the
+/// reference round with every recompose.
 ExecutionResult RunReference(const Graph& g, const Protocol& p,
                              Adversary& adv) {
   adv.reset();
-  EngineState s = ReferenceState(g, p);
+  const testing::ClaimFreeProtocol claim_free(p);
+  EngineState s = ReferenceState(g, claim_free);
   while (true) {
     s.begin_round();
     if (s.terminal()) return std::move(s).finish();

@@ -217,4 +217,32 @@ class GossipCountProtocol final : public ProtocolWithOutput<int> {
   std::string name() const override { return "gossip-count"; }
 };
 
+/// The claim-free oracle for locality claims: forwards every callback of
+/// `inner` but claims no FrontierLocality, so both engine rounds recompose
+/// every active unwritten node of a synchronous class every round. Running
+/// a protocol with and without this adapter pins its claims to the
+/// behaviour of the functions they describe.
+class ClaimFreeProtocol final : public Protocol {
+ public:
+  explicit ClaimFreeProtocol(const Protocol& inner) : inner_(inner) {}
+  ModelClass model_class() const override { return inner_.model_class(); }
+  std::size_t message_bit_limit(std::size_t n) const override {
+    return inner_.message_bit_limit(n);
+  }
+  bool activate(const LocalView& view, const Whiteboard& board) const override {
+    return inner_.activate(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board) const override {
+    return inner_.compose(view, board);
+  }
+  Bits compose(const LocalView& view, const Whiteboard& board,
+               BitWriter& scratch) const override {
+    return inner_.compose(view, board, scratch);
+  }
+  std::string name() const override { return inner_.name() + "+claim-free"; }
+
+ private:
+  const Protocol& inner_;
+};
+
 }  // namespace wb::testing

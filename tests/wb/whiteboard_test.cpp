@@ -8,6 +8,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/protocols/bfs_sync.h"
+#include "src/support/rng.h"
 #include "src/wb/engine.h"
 #include "src/wb/exhaustive.h"
 #include "src/wb/faults.h"
@@ -338,6 +339,64 @@ TEST(Whiteboard, ContentHashMatchesContentEquality) {
   // Empty boards hash consistently too.
   EXPECT_EQ(Whiteboard().content_hash(), Whiteboard().content_hash());
   EXPECT_NE(Whiteboard().content_hash(), a.content_hash());
+}
+
+/// content_hash() as first defined: rehash every message from scratch.
+Hash128 from_scratch_hash(const Whiteboard& board) {
+  Hasher128 h;
+  for (const Bits& m : board.messages()) {
+    h.update(m.size());
+    for (std::size_t w = 0; w < m.word_count(); ++w) h.update(m.word(w));
+  }
+  return h.digest();
+}
+
+TEST(Whiteboard, RunningHashMatchesAFromScratchHashUnderRandomHistories) {
+  // Boards that append, truncate, reserve, copy from one another and then
+  // diverge: the stored running hash must track the messages through every
+  // clone of the shared storage. A model of plain message vectors pins the
+  // contents themselves.
+  Rng rng(20261019);
+  std::vector<Whiteboard> boards(4);
+  std::vector<std::vector<Bits>> model(4);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t i = rng.below(boards.size());
+    switch (rng.below(5)) {
+      case 0:
+      case 1: {  // append a random message of 0..150 bits
+        const std::size_t n_bits = rng.below(151);
+        std::vector<std::uint64_t> words((n_bits + 63) / 64 + 1);
+        for (auto& w : words) w = rng.next();
+        Bits m(words, n_bits);
+        model[i].push_back(m);
+        boards[i].append(std::move(m));
+        break;
+      }
+      case 2: {  // truncate
+        const std::size_t keep = rng.below(model[i].size() + 1);
+        model[i].resize(keep);
+        boards[i].truncate(keep);
+        break;
+      }
+      case 3: {  // copy another board (shares its storage)
+        const std::size_t j = rng.below(boards.size());
+        boards[i] = boards[j];
+        model[i] = model[j];
+        break;
+      }
+      case 4:
+        boards[i].reserve(model[i].size() + rng.below(8));
+        break;
+    }
+    for (std::size_t b = 0; b < boards.size(); ++b) {
+      ASSERT_EQ(boards[b].message_count(), model[b].size()) << step;
+      for (std::size_t m = 0; m < model[b].size(); ++m) {
+        ASSERT_TRUE(boards[b].message(m) == model[b][m]) << step;
+      }
+      ASSERT_EQ(boards[b].content_hash(), from_scratch_hash(boards[b]))
+          << "step " << step << " board " << b;
+    }
+  }
 }
 
 TEST(WhiteboardCache, SurvivesTruncateBackToTheCachedPrefix) {
